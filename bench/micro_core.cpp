@@ -29,21 +29,43 @@ namespace {
 
 using namespace epto;
 
-/// A ball of `events` fresh events. Ids are derived from `seqBase` so
-/// distinct calls can produce globally distinct ids — an id's content
-/// (its timestamp) is immutable under the paper's fault model, and the
-/// ordering component's duplicate index relies on that.
+/// Broadcasters the synthetic events are spread over.
+constexpr std::uint64_t kSources = 64;
+
+/// Synthetic event number `seq`: source seq % kSources, sequence
+/// seq / kSources. Ids derive from `seq` so distinct calls can produce
+/// globally distinct ids — an id's content (its timestamp) is immutable
+/// under the paper's fault model, and the ordering component's duplicate
+/// index relies on that.
+Event makeEvent(std::uint64_t seq, std::uint32_t ttl) {
+  Event e;
+  e.id = EventId{static_cast<ProcessId>(seq % kSources),
+                 static_cast<std::uint32_t>(seq / kSources)};
+  e.ts = static_cast<Timestamp>(seq + 1);
+  e.ttl = ttl;
+  return e;
+}
+
+/// A ball of events seqBase .. seqBase + events - 1 in broadcast order.
+/// Above kSources events its ids are not in packed order, so
+/// dissemination takes its sort fallback on it.
 Ball makeBall(std::size_t events, std::uint32_t ttl, std::uint64_t seqBase) {
   Ball ball;
   ball.reserve(events);
-  for (std::size_t i = 0; i < events; ++i) {
-    const std::uint64_t seq = seqBase + i;
-    Event e;
-    e.id = EventId{static_cast<ProcessId>(seq % 64),
-                   static_cast<std::uint32_t>(seq / 64)};
-    e.ts = static_cast<Timestamp>(seq + 1);
-    e.ttl = ttl;
-    ball.push_back(e);
+  for (std::size_t i = 0; i < events; ++i) ball.push_back(makeEvent(seqBase + i, ttl));
+  return ball;
+}
+
+/// The same events as makeBall, in id order — the shape every real
+/// sender emits (dissemination keeps nextBall id-sorted).
+Ball makeSortedBall(std::size_t events, std::uint32_t ttl, std::uint64_t seqBase) {
+  Ball ball;
+  ball.reserve(events);
+  const std::uint64_t end = seqBase + events;
+  for (std::uint64_t source = 0; source < kSources; ++source) {
+    // The first seq >= seqBase that belongs to `source`.
+    std::uint64_t seq = seqBase + (source + kSources - seqBase % kSources) % kSources;
+    for (; seq < end; seq += kSources) ball.push_back(makeEvent(seq, ttl));
   }
   return ball;
 }
@@ -78,12 +100,8 @@ void BM_OrderingRound(benchmark::State& state) {
 }
 BENCHMARK(BM_OrderingRound)->Arg(256)->Arg(1024)->Arg(4096);
 
-/// Dissemination: absorbing an incoming ball into nextBall. The same
-/// ball repeats, so after the first iteration this measures the
-/// duplicate-heavy absorb that dominates real rounds (every event
-/// arrives ~K times).
-void BM_DisseminationOnBall(benchmark::State& state) {
-  const auto ballSize = static_cast<std::size_t>(state.range(0));
+/// Repeatedly absorb `ball` into one dissemination component.
+void absorbRepeatedly(benchmark::State& state, const Ball& ball) {
   LogicalClockOracle oracle(/*ttl=*/15);
   OrderingComponent ordering({.ttl = 15}, oracle, [](const Event&, DeliveryTag) {});
 
@@ -94,18 +112,32 @@ void BM_DisseminationOnBall(benchmark::State& state) {
 
   DisseminationComponent dissemination(0, {.fanout = 3, .ttl = 15}, oracle, sampler,
                                        ordering);
-  const Ball ball = makeBall(ballSize, 3, 0);
   for (auto _ : state) {
     dissemination.onBall(ball);
     benchmark::DoNotOptimize(dissemination.pendingRelayCount());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ballSize));
+                          static_cast<std::int64_t>(ball.size()));
+}
+
+/// Dissemination: absorbing an incoming id-sorted ball into nextBall —
+/// the linear merge. The same ball repeats, so after the first iteration
+/// this measures the duplicate-heavy absorb that dominates real rounds
+/// (every event arrives ~K times).
+void BM_DisseminationOnBall(benchmark::State& state) {
+  absorbRepeatedly(state, makeSortedBall(static_cast<std::size_t>(state.range(0)), 3, 0));
 }
 BENCHMARK(BM_DisseminationOnBall)->Arg(16)->Arg(128)->Arg(1024);
 
+/// The same absorb through the stable_sort fallback that hand-built
+/// balls out of id order take (no real sender emits one).
+void BM_DisseminationOnUnsortedBall(benchmark::State& state) {
+  absorbRepeatedly(state, makeBall(static_cast<std::size_t>(state.range(0)), 3, 0));
+}
+BENCHMARK(BM_DisseminationOnUnsortedBall)->Arg(128)->Arg(1024);
+
 /// One full EpTO round (ball absorption + relay + ordering) at steady
-/// state, with fresh events arriving every round.
+/// state, with a fresh id-sorted ball arriving every round.
 void BM_FullRound(benchmark::State& state) {
   const auto ballSize = static_cast<std::size_t>(state.range(0));
   LogicalClockOracle oracle(/*ttl=*/15);
@@ -118,7 +150,7 @@ void BM_FullRound(benchmark::State& state) {
                                        ordering);
   std::uint64_t seq = 0;
   for (auto _ : state) {
-    dissemination.onBall(makeBall(ballSize, 3, seq));
+    dissemination.onBall(makeSortedBall(ballSize, 3, seq));
     seq += ballSize;
     const auto out = dissemination.onRound();
     benchmark::DoNotOptimize(out.targets.size());

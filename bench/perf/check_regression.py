@@ -8,12 +8,13 @@ append). The schema of the current file picks the comparison mode, and
 the baseline must carry the same schema:
 
 epto.bench.core/1 (micro_core)
-    Fails (exit 1) when any BM_OrderingRound variant's ns_per_op
-    regressed by more than the threshold (default 0.25) relative to the
-    baseline. Other benchmarks are reported but do not gate: they are
-    either too fast (noise dominates on shared CI runners) or covered
-    indirectly by the fig-sweep wall clock. Default baseline:
-    bench/perf/BENCH_core.json.
+    Fails (exit 1) when any variant of a gated benchmark — the ordering
+    round, the id-sorted dissemination absorb and simulator scheduling
+    (GATED_PREFIXES) — regressed in ns_per_op by more than the threshold
+    (default 0.25) relative to the baseline. Other benchmarks are
+    reported but do not gate: they are either too fast (noise dominates
+    on shared CI runners) or covered indirectly by the fig-sweep wall
+    clock. Default baseline: bench/perf/BENCH_core.json.
 
 epto.bench.figs/1 (figure / ablation harnesses)
     Compares per-condition `deliveries` and `events` against the
@@ -43,7 +44,9 @@ import json
 import sys
 from pathlib import Path
 
-GATED_PREFIX = "BM_OrderingRound"
+# Prefixes end in "/" so a bench that merely extends a gated name (say
+# BM_DisseminationOnUnsortedBall) is not gated by accident.
+GATED_PREFIXES = ("BM_OrderingRound/", "BM_DisseminationOnBall/", "BM_SimulatorSchedule/")
 SCHEMAS = ("epto.bench.core/1", "epto.bench.figs/1", "epto.bench.runtime/1")
 DEFAULT_CORE_BASELINE = Path(__file__).resolve().parent / "BENCH_core.json"
 DEFAULT_RUNTIME_BASELINE = Path(__file__).resolve().parent / "BENCH_runtime.json"
@@ -94,11 +97,11 @@ def check_core(current, baseline, threshold):
         cur = current.get(name)
         if cur is None:
             print(f"MISSING  {name}: in baseline but not in current run")
-            failed = failed or name.startswith(GATED_PREFIX)
+            failed = failed or name.startswith(GATED_PREFIXES)
             continue
         base_ns, cur_ns = base["ns_per_op"], cur["ns_per_op"]
         ratio = cur_ns / base_ns if base_ns > 0 else float("inf")
-        gated = name.startswith(GATED_PREFIX)
+        gated = name.startswith(GATED_PREFIXES)
         verdict = "ok"
         if gated and ratio > 1.0 + threshold:
             verdict = "REGRESSION"

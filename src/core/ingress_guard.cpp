@@ -1,5 +1,7 @@
 #include "core/ingress_guard.h"
 
+#include <utility>
+
 #include "util/ensure.h"
 #include "util/rng.h"
 
@@ -35,21 +37,23 @@ IngressGuard::IngressGuard(IngressGuardOptions options) : options_(options) {
 }
 
 IngressGuard::Fingerprint* IngressGuard::findFingerprint(const EventId& id) {
-  if (auto it = current_.find(id); it != current_.end()) return &it->second;
-  if (auto it = previous_.find(id); it != previous_.end()) {
+  const std::uint64_t key = id.packed();
+  if (Fingerprint* hit = current_.find(key); hit != nullptr) return hit;
+  if (const Fingerprint* old = previous_.find(key); old != nullptr) {
     // Promote so a hot id survives the next rotation.
-    return &current_.emplace(id, it->second).first->second;
+    return current_.tryEmplace(key, *old).first;
   }
   return nullptr;
 }
 
 void IngressGuard::recordFingerprint(const EventId& id, Fingerprint fp) {
   if (current_.size() >= options_.fingerprintCapacity) {
-    previous_ = std::move(current_);
+    // The retiring generation's slot array is reused for the new one.
+    std::swap(previous_, current_);
     current_.clear();
     stats_.fingerprintRotations++;
   }
-  current_[id] = fp;
+  current_[id.packed()] = fp;
 }
 
 IngressCause IngressGuard::screenBall(std::uint64_t senderKey, const Ball& ball) {

@@ -41,7 +41,9 @@
 // The guard is single-threaded (one per node, used on that node's
 // thread/strand) and bounded-memory: the equivocation fingerprint table
 // uses two rotating generations, so memory is O(capacity) regardless of
-// run length.
+// run length. Each generation is a flat open-addressing map keyed by the
+// packed EventId (util::FlatIdMap): every inspected event costs one
+// lookup, and under attack the lookups dominate a node's ingress cost.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +52,7 @@
 
 #include "core/types.h"
 #include "obs/registry.h"
+#include "util/flat_id_map.h"
 
 namespace epto::core {
 
@@ -140,8 +143,8 @@ class IngressGuard {
     std::uint64_t digest = 0;      ///< mix of ts and payload hash.
     std::uint16_t incarnation = 0;
   };
-  using FingerprintMap =
-      std::unordered_map<EventId, Fingerprint, EventIdHash>;
+  /// Keyed by EventId::packed().
+  using FingerprintMap = util::FlatIdMap<Fingerprint>;
 
   /// Ball-level screen; returns the first provable-misbehaviour cause.
   [[nodiscard]] IngressCause screenBall(std::uint64_t senderKey, const Ball& ball);

@@ -63,9 +63,8 @@ void OrderingComponent::absorb(const Event& event) {
   // can apply — resolved through the hash index without touching the tree.
   const auto birth = static_cast<std::int64_t>(stats_.rounds) -
                      static_cast<std::int64_t>(event.ttl);
-  if (const auto hit = receivedIndex_.find(event.id.packed());
-      hit != receivedIndex_.end()) {
-    Pending& pending = *hit->second;
+  if (Pending* const* hit = receivedIndex_.find(event.id.packed()); hit != nullptr) {
+    Pending& pending = **hit;
     ++pending.copies;
     if (birth < pending.birthRound) {
       EPTO_TRACE_EVENT(TtlMerge, .node = options_.self, .round = stats_.rounds,
@@ -115,7 +114,7 @@ void OrderingComponent::absorb(const Event& event) {
       received_.try_emplace(key, Pending{birth, currentRoundClock_, 0, event.qos,
                                          event.payload});
   EPTO_ENSURE_MSG(inserted, "received index out of sync with the ordered map");
-  receivedIndex_.emplace(event.id.packed(), &it->second);
+  receivedIndex_.tryEmplace(event.id.packed(), &it->second);
 
   // §8.4: a fresh key behind the speculation frontier falsifies the
   // projection that speculated past it — revoke the displaced suffix at

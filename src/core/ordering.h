@@ -36,11 +36,13 @@
 //     embeds the EventId, and an event's key never changes between copies
 //     (§2 non-Byzantine fault model: content is a function of the id), so
 //     the same index also answers duplicate lookups;
-//   * duplicate fast path — a hash index keyed by the packed 64-bit
-//     EventId shadows the ordered map. Most absorbed events are repeats
-//     (each event arrives ~K times per relay round); a repeat resolves to
-//     its Pending entry in O(1) and, being still queued, is by invariant
-//     past the delivery frontier — no OrderKey comparison, no tree walk.
+//   * duplicate fast path — a flat open-addressing index keyed by the
+//     packed 64-bit EventId (util::FlatIdMap) shadows the ordered map.
+//     Most absorbed events are repeats (each event arrives ~K times per
+//     relay round); a repeat resolves to its Pending entry in O(1),
+//     usually with one cache miss, and, being still queued, is by
+//     invariant past the delivery frontier — no OrderKey comparison, no
+//     tree walk.
 #pragma once
 
 #include <array>
@@ -52,6 +54,7 @@
 
 #include "core/stability_oracle.h"
 #include "core/types.h"
+#include "util/flat_id_map.h"
 
 namespace epto::obs {
 class LatencyRecorder;
@@ -181,7 +184,7 @@ class OrderingComponent {
   /// Duplicate fast path: packed EventId -> the entry in received_.
   /// std::map nodes are stable, so the pointer survives other mutations;
   /// absorb() and deliverBatch() keep the two containers in lock step.
-  std::unordered_map<std::uint64_t, Pending*> receivedIndex_;
+  util::FlatIdMap<Pending*> receivedIndex_;
   /// Alg. 2 `lastDeliveredTs`, strengthened to the full order key.
   std::optional<OrderKey> lastDelivered_;
   /// Delivered-id memory (only populated when tagging): id -> round

@@ -4,12 +4,12 @@
 // libstdc++) inline buffer, which puts one malloc/free on every scheduled
 // simulator action — the dominant allocation of a discrete-event run (the
 // network's in-flight closure captures a whole NetMessage variant). This
-// type stores closures up to `Capacity` bytes inline inside the queue
-// entry itself; larger or throwing-move closures transparently fall back
-// to a single heap cell so correctness never depends on the capacity
-// guess. Move-only (entries move through the binary heap; closures never
-// need to be copied) and deliberately minimal: no target_type, no
-// allocator, void() signature only.
+// type stores closures up to `Capacity` bytes inline inside the
+// simulator's slab cell itself; larger or throwing-move closures
+// transparently fall back to a single heap cell so correctness never
+// depends on the capacity guess. Move-only (a closure moves once, into
+// its slab cell, and runs there; it is never copied) and deliberately
+// minimal: no target_type, no allocator, void() signature only.
 #pragma once
 
 #include <cstddef>

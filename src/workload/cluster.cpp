@@ -134,7 +134,7 @@ SimCluster::SimCluster(const ExperimentConfig& config)
       if (spec.kind != fault::FaultKind::Crash) continue;
       for (const ProcessId victim : spec.nodes) {
         simulator_.scheduleAt(spec.at, [this, victim] {
-          if (nodes_.find(victim) == nodes_.end()) return;  // already gone
+          if (findNode(victim) == nullptr) return;  // already gone
           faults_->noteCrash(victim, simulator_.now());
           killNode(victim);
         });
@@ -202,7 +202,7 @@ void SimCluster::spawnNode() {
     // (and should) be polluted by it.
     node.byzantine = true;
     membership_.add(id);
-    nodes_.emplace(id, std::move(node));
+    addNode(std::move(node));
     scheduleRound(id);
     return;
   }
@@ -340,31 +340,38 @@ void SimCluster::spawnNode() {
 
   membership_.add(id);
   lifetimes_[id] = metrics::ProcessLifetime{simulator_.now(), std::nullopt};
-  nodes_.emplace(id, std::move(node));
+  addNode(std::move(node));
   scheduleRound(id);
 }
 
+void SimCluster::addNode(Node node) {
+  // spawnNode mints ids in order, so the new node always goes at the end.
+  EPTO_ENSURE(node.id == nodes_.size());
+  nodes_.push_back(std::make_unique<Node>(std::move(node)));
+  ++liveNodes_;
+}
+
 void SimCluster::killNode(ProcessId id) {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) return;
+  if (findNode(id) == nullptr) return;
   membership_.remove(id);
   lifetimes_[id].leftAt = simulator_.now();
-  nodes_.erase(it);
+  nodes_[id].reset();
+  --liveNodes_;
 }
 
 void SimCluster::scheduleRound(ProcessId id) {
-  const auto nodeIt = nodes_.find(id);
-  EPTO_ENSURE(nodeIt != nodes_.end());
-  Node& node = nodeIt->second;
+  Node* const found = findNode(id);
+  EPTO_ENSURE(found != nullptr);
+  Node& node = *found;
   // delta * speedFactor * (1 +- U[0, jitter]) — "processes execute at
   // time now() + delta +- Delta" (paper §6).
   const double jitter = 1.0 + config_.roundJitter * (2.0 * node.rng.uniform01() - 1.0);
   const double period =
       std::max(1.0, static_cast<double>(config_.roundInterval) * node.speedFactor * jitter);
   simulator_.schedule(static_cast<Timestamp>(std::llround(period)), [this, id] {
-    const auto it = nodes_.find(id);
-    if (it == nodes_.end()) return;  // churned out meanwhile
-    runRound(it->second);
+    Node* const live = findNode(id);
+    if (live == nullptr) return;  // churned out meanwhile
+    runRound(*live);
     scheduleRound(id);
   });
 }
@@ -381,10 +388,10 @@ void SimCluster::maybeBroadcast(Node& node) {
   const Timestamp offset = node.rng.below(config_.roundInterval);
   const ProcessId id = node.id;
   simulator_.schedule(offset, [this, id] {
-    const auto it = nodes_.find(id);
-    if (it == nodes_.end()) return;                    // churned out meanwhile
+    Node* const live = findNode(id);
+    if (live == nullptr) return;                       // churned out meanwhile
     if (simulator_.now() >= broadcastEnd_) return;     // window closed
-    doBroadcast(it->second);
+    doBroadcast(*live);
   });
 }
 
@@ -693,9 +700,9 @@ void SimCluster::sendSequencerOutgoing(
 }
 
 void SimCluster::onMessage(ProcessId from, ProcessId to, const NetMessage& message) {
-  const auto it = nodes_.find(to);
-  if (it == nodes_.end()) return;  // target crashed while the message flew
-  Node& node = it->second;
+  Node* const target = findNode(to);
+  if (target == nullptr) return;  // target crashed while the message flew
+  Node& node = *target;
 
   if (node.byzantine) {
     const fault::AdversaryBehaviors& behaviors = adversary_->plan().behaviors();
@@ -795,8 +802,9 @@ void SimCluster::run() {
   std::size_t receivedTotal = 0;
   SpeculationChannel::Stats spec;
   std::uint64_t retunes = 0;
-  for (const auto& [id, node] : nodes_) {
-    if (node.epto == nullptr) continue;
+  for (const auto& slot : nodes_) {
+    if (slot == nullptr || slot->epto == nullptr) continue;
+    const Node& node = *slot;
     const auto snap = node.epto->metricsSnapshot();
     spec.speculated += snap.speculation.speculated;
     spec.confirmed += snap.speculation.confirmed;
@@ -854,9 +862,9 @@ void SimCluster::run() {
 
 core::IngressStats SimCluster::aggregateIngressStats() const {
   core::IngressStats total;
-  for (const auto& [id, node] : nodes_) {
-    if (node.guard == nullptr) continue;
-    const core::IngressStats& s = node.guard->stats();
+  for (const auto& node : nodes_) {
+    if (node == nullptr || node->guard == nullptr) continue;
+    const core::IngressStats& s = node->guard->stats();
     total.ballsInspected += s.ballsInspected;
     total.ballsRejectedLineage += s.ballsRejectedLineage;
     total.ballsRejectedOriginRound += s.ballsRejectedOriginRound;
@@ -871,17 +879,13 @@ core::IngressStats SimCluster::aggregateIngressStats() const {
 
 double SimCluster::viewPoisonFraction() const {
   if (adversary_ == nullptr) return 0.0;
-  // Iterate in id order so the floating-point fold is reproducible.
-  std::vector<ProcessId> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
+  // The table iterates in id order, so the floating-point fold is
+  // reproducible.
   double sum = 0.0;
   std::size_t counted = 0;
-  for (const ProcessId id : ids) {
-    const Node& node = nodes_.at(id);
-    if (node.byzantine) continue;
+  for (const auto& slot : nodes_) {
+    if (slot == nullptr || slot->byzantine) continue;
+    const Node& node = *slot;
     std::size_t viewSize = 0;
     std::size_t poisoned = 0;
     if (node.cyclon != nullptr) {
@@ -913,10 +917,10 @@ double SimCluster::viewPoisonFraction() const {
 }
 
 std::vector<Event> SimCluster::pendingEventsOf(ProcessId id) const {
-  const auto it = nodes_.find(id);
-  EPTO_ENSURE_MSG(it != nodes_.end(), "no such live process");
-  EPTO_ENSURE_MSG(it->second.epto != nullptr, "pending events exist only for EpTO nodes");
-  return it->second.epto->pendingEvents();
+  const Node* const node = findNode(id);
+  EPTO_ENSURE_MSG(node != nullptr, "no such live process");
+  EPTO_ENSURE_MSG(node->epto != nullptr, "pending events exist only for EpTO nodes");
+  return node->epto->pendingEvents();
 }
 
 ExperimentResult SimCluster::result() const {
@@ -938,7 +942,9 @@ ExperimentResult SimCluster::result() const {
   result.ingressStats = aggregateIngressStats();
   result.viewPoisonFraction = viewPoisonFraction();
   result.adversaryDeliveriesFiltered = adversaryDeliveriesFiltered_;
-  for (const auto& [id, node] : nodes_) {
+  for (const auto& slot : nodes_) {
+    if (slot == nullptr) continue;
+    const Node& node = *slot;
     if (node.epto != nullptr) {
       result.eventsRelayed += node.epto->disseminationStats().eventsRelayed;
       result.maxBallSize =

@@ -94,7 +94,7 @@ class SimCluster {
   /// Mean fraction of Byzantine ids across honest PSS views right now
   /// (0 with no adversary). See ExperimentResult::viewPoisonFraction.
   [[nodiscard]] double viewPoisonFraction() const;
-  [[nodiscard]] std::size_t liveNodeCount() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t liveNodeCount() const noexcept { return liveNodes_; }
   [[nodiscard]] Timestamp broadcastWindowEnd() const noexcept { return broadcastEnd_; }
   /// Per-node pending (received-but-undelivered) events — §8.4 surface.
   [[nodiscard]] std::vector<Event> pendingEventsOf(ProcessId id) const;
@@ -128,7 +128,15 @@ class SimCluster {
     std::uint64_t lastBallsReceived = 0;
   };
 
+  /// The live node with this id, or null once it left (or never was).
+  [[nodiscard]] Node* findNode(ProcessId id) noexcept {
+    return id < nodes_.size() ? nodes_[id].get() : nullptr;
+  }
+  [[nodiscard]] const Node* findNode(ProcessId id) const noexcept {
+    return id < nodes_.size() ? nodes_[id].get() : nullptr;
+  }
   void spawnNode();
+  void addNode(Node node);
   void killNode(ProcessId id);
   void scheduleRound(ProcessId id);
   void runRound(Node& node);
@@ -179,7 +187,11 @@ class SimCluster {
   obs::Histogram* bufferHist_ = nullptr;
   std::vector<RoundSample> roundSamples_;
 
-  std::unordered_map<ProcessId, Node> nodes_;
+  /// Indexed by id, null once the node left. Ids are dense (nextId_++),
+  /// so lookup is one index, and iteration runs in id order. Each Node is
+  /// its own allocation, so a Node& survives spawns that grow the table.
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::size_t liveNodes_ = 0;
   std::unordered_map<ProcessId, metrics::ProcessLifetime> lifetimes_;
   /// Perturbed-process plan (ExperimentConfig::PausePlan), resolved.
   std::unordered_set<ProcessId> pausedIds_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -121,6 +123,38 @@ TEST(Simulator, InterleavedSchedulingKeepsDeterministicOrder) {
   };
   EXPECT_EQ(trace(), trace());
   EXPECT_EQ(trace(), (std::vector<int>{1, 4, 2, 3}));
+}
+
+TEST(Simulator, DestroysPendingActionsWithIt) {
+  auto held = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.schedule(5, [held] {});
+    sim.schedule(5 * Simulator::kRingSpan, [held] {});  // beyond the ring
+    EXPECT_EQ(held.use_count(), 3);
+  }
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+TEST(Simulator, RanActionsReleaseTheirCaptures) {
+  auto held = std::make_shared<int>(0);
+  Simulator sim;
+  for (int i = 0; i < 3; ++i) sim.schedule(static_cast<Timestamp>(i), [held] {});
+  sim.runUntil(10);
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+TEST(Simulator, ThrowingActionLeavesTheQueueUsable) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(1, [] { throw std::runtime_error("boom"); });
+  sim.schedule(1, [&] { order.push_back(1); });
+  sim.schedule(2, [&] { order.push_back(2); });
+  EXPECT_THROW(sim.step(), std::runtime_error);
+  EXPECT_EQ(sim.pendingActions(), 2u);
+  sim.runUntil(5);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.executedActions(), 3u);
 }
 
 }  // namespace

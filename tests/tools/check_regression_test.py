@@ -95,6 +95,24 @@ class GatingTest(unittest.TestCase):
             write_jsonl(baseline, [core_record(100.0)])
             self.assertEqual(0, self.run_main(current, baseline))
 
+    def test_gated_set_covers_absorb_and_scheduler_but_not_the_fallback(self):
+        def record(name, ns_per_op):
+            return {"schema": "epto.bench.core/1",
+                    "benchmarks": [{"name": name, "ns_per_op": ns_per_op}]}
+
+        cases = {
+            "BM_DisseminationOnBall/1024": 1,
+            "BM_SimulatorSchedule/4096": 1,
+            "BM_DisseminationOnUnsortedBall/1024": 0,
+            "BM_CyclonShuffle": 0,
+        }
+        for name, expected in cases.items():
+            with self.subTest(name=name), tempfile.TemporaryDirectory() as tmp:
+                current, baseline = Path(tmp) / "cur.json", Path(tmp) / "base.json"
+                write_jsonl(current, [record(name, 200.0)])
+                write_jsonl(baseline, [record(name, 100.0)])
+                self.assertEqual(expected, self.run_main(current, baseline))
+
     def test_missing_baseline_path_is_a_clear_failure(self):
         with tempfile.TemporaryDirectory() as tmp:
             current = Path(tmp) / "cur.json"
