@@ -1,15 +1,15 @@
 // BM_RuntimeThroughput — node density of the sharded runtime executor
-// vs the thread-per-node baseline (DESIGN.md §16, EXPERIMENTS.md
-// "Runtime throughput").
+// against a single shard (DESIGN.md §16, EXPERIMENTS.md "Runtime
+// executor density bench").
 //
 // Four conditions over real loopback sockets, each density at its own
-// paper-derived K/TTL (identical within a pair, so each thread-vs-
+// paper-derived K/TTL (identical within a pair, so each one-shard-vs-
 // sharded pair isolates executor overhead):
 //
-//   thread_per_node   N0 nodes, one OS thread each (the PR 3 runtime)
-//   sharded           N0 nodes on the sharded executor
-//   thread_dense      factor*N0 nodes, one OS thread each
-//   sharded_dense     factor*N0 nodes on the sharded executor
+//   one_shard         N0 nodes, all on one shard thread
+//   sharded           N0 nodes on the default shard pool
+//   one_shard_dense   factor*N0 nodes, all on one shard thread
+//   sharded_dense     factor*N0 nodes on the default shard pool
 //
 // (Cross-density latency is protocol, not executor: TTL grows with n,
 // and at small n the fanout clamps to n-1 and the stability oracle
@@ -20,13 +20,12 @@
 //
 // Each condition broadcasts one event per node, runs to quiescence, and
 // reports wall clock, deliveries/sec and delivery-latency percentiles
-// (broadcast to delivery, microseconds). The density claim is
-// self-gating: unless --no-gate, the binary exits 1 when any condition
-// breaks a Table 1 verdict or when a sharded condition's p50 exceeds
-// its same-density thread-per-node twin by more than --gate-tolerance
-// (default 10%) — factor× the nodes on a fixed shard pool at
-// equal-or-better latency than factor× OS threads IS the density
-// result.
+// (broadcast to delivery, microseconds). The bench is self-gating:
+// unless --no-gate, the binary exits 1 when any condition breaks a
+// Table 1 verdict or when a sharded condition's p50 exceeds its
+// same-density one-shard twin by more than --gate-tolerance (default
+// 10%) — spreading the nodes over the shard pool must never cost
+// latency against driving them all from one thread.
 //
 // With --bench-json=<path>, appends one epto.bench.runtime/1 JSONL
 // record; bench/perf/check_regression.py compares it against the
@@ -66,8 +65,8 @@ struct Args {
                "  --nodes=<n>           baseline node count N0 (default 6)\n"
                "  --density-factor=<n>  sharded_dense runs factor*N0 nodes (default 10)\n"
                "  --bench-json=<path>   append one epto.bench.runtime/1 JSONL record\n"
-               "  --gate-tolerance=<r>  allowed relative p50 excess of sharded_dense\n"
-               "                        over thread_per_node (default 0.10)\n"
+               "  --gate-tolerance=<r>  allowed relative p50 excess of a sharded condition\n"
+               "                        over its one-shard twin (default 0.10)\n"
                "  --smoke               smaller/faster sizes for the CI smoke job\n"
                "  --no-gate             report only, never exit 1 on the latency gate\n"
                "  --help                print this message and exit\n",
@@ -121,7 +120,8 @@ Args parseArgs(int argc, char** argv) {
 struct Condition {
   std::string label;
   std::size_t nodes = 0;
-  runtime::ExecutorMode executor = runtime::ExecutorMode::Sharded;
+  /// Worker shards; 0 = the executor default (one per hardware thread).
+  std::size_t shards = 0;
 };
 
 struct ConditionResult {
@@ -146,15 +146,14 @@ ConditionResult runCondition(const Condition& condition, const Args& args) {
   options.nodeCount = condition.nodes;
   // Round period scales with density: the machine fixes how much round
   // work fits in one period, so factor x the nodes needs factor x the
-  // period or BOTH executors run overdriven (constant watchdog
-  // recoveries, and thread-per-node starts losing events outright).
-  // Within a density pair the period is identical, so the gate still
-  // compares executors, not schedules.
+  // period or BOTH conditions run overdriven (constant watchdog
+  // recoveries). Within a density pair the period is identical, so the
+  // gate still compares shard layouts, not schedules.
   const auto basePeriod = args.smoke ? 4ms : 6ms;
   options.roundPeriod =
       basePeriod * std::max<std::size_t>(1, condition.nodes / args.baselineNodes);
   options.seed = args.seed;
-  options.executor = condition.executor;
+  options.shardCount = condition.shards;
   runtime::UdpCluster cluster(options);
 
   const auto start = std::chrono::steady_clock::now();
@@ -267,10 +266,10 @@ int main(int argc, char** argv) {
               args.densityFactor, args.smoke ? " (smoke)" : "");
 
   const std::vector<Condition> conditions = {
-      {"thread_per_node", args.baselineNodes, runtime::ExecutorMode::ThreadPerNode},
-      {"sharded", args.baselineNodes, runtime::ExecutorMode::Sharded},
-      {"thread_dense", denseNodes, runtime::ExecutorMode::ThreadPerNode},
-      {"sharded_dense", denseNodes, runtime::ExecutorMode::Sharded},
+      {"one_shard", args.baselineNodes, 1},
+      {"sharded", args.baselineNodes, 0},
+      {"one_shard_dense", denseNodes, 1},
+      {"sharded_dense", denseNodes, 0},
   };
   std::vector<ConditionResult> results;
   bool allGreen = true;
@@ -281,29 +280,28 @@ int main(int argc, char** argv) {
   }
 
   // Within each density, sharded must be no slower than the same-density
-  // thread-per-node twin (plus tolerance).
+  // one-shard twin (plus tolerance).
   bool densityOk = allGreen;
   for (std::size_t pair = 0; pair < 2; ++pair) {
-    const ConditionResult& threaded = results[pair * 2];
+    const ConditionResult& oneShard = results[pair * 2];
     const ConditionResult& sharded = results[pair * 2 + 1];
     const double allowed =
-        static_cast<double>(threaded.p50) * (1.0 + args.gateTolerance);
+        static_cast<double>(oneShard.p50) * (1.0 + args.gateTolerance);
     const bool ok = static_cast<double>(sharded.p50) <= allowed;
     if (!ok) densityOk = false;
     std::printf("gate %s p50=%lluus vs %s p50=%lluus (tolerance %.0f%%): %s\n",
                 conditions[pair * 2 + 1].label.c_str(),
                 static_cast<unsigned long long>(sharded.p50),
                 conditions[pair * 2].label.c_str(),
-                static_cast<unsigned long long>(threaded.p50),
+                static_cast<unsigned long long>(oneShard.p50),
                 args.gateTolerance * 100.0, ok ? "ok" : "FAIL");
   }
   const ConditionResult& dense = results[3];
   std::printf(
-      "headline sharded executor ran %zux node density (%zu nodes on %zu shards "
-      "instead of %zu threads) at equal-or-better latency: %s; "
-      "dense throughput %.0f deliveries/s\n",
-      args.densityFactor, denseNodes, dense.shards, denseNodes,
-      densityOk ? "PASS" : "FAIL", dense.eventsPerSecond);
+      "headline sharded executor ran %zux node density (%zu nodes on %zu shards) "
+      "at latency no worse than one shard: %s; dense throughput %.0f deliveries/s\n",
+      args.densityFactor, denseNodes, dense.shards, densityOk ? "PASS" : "FAIL",
+      dense.eventsPerSecond);
 
   writeBenchJson(args, conditions, results, densityOk);
   if (!allGreen) return 1;

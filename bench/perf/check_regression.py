@@ -31,9 +31,9 @@ epto.bench.runtime/1 (bench_runtime, BM_RuntimeThroughput)
     regime) and requires every condition that was `green` in the
     baseline to stay green. Latency percentiles and events_per_s are
     reported but not gated — wall-clock numbers are too noisy on shared
-    runners; the thread-vs-sharded latency gate lives inside the binary
-    itself (it compares two conditions of the SAME run, which cancels
-    machine speed). Default baseline: bench/perf/BENCH_runtime.json.
+    runners; the one-shard-vs-sharded latency gate lives inside the
+    binary itself (it compares two conditions of the SAME run, which
+    cancels machine speed). Default baseline: bench/perf/BENCH_runtime.json.
 
 Baselines live in bench/perf/. Refresh one (rerun the binary with
 --bench-json on a quiet machine, commit the result) whenever an

@@ -43,7 +43,7 @@ struct LatencySample {
 class LatencyRecorder {
  public:
   /// Test hook observing every sample. Install before any node runs;
-  /// invoked from node threads under the threaded runtimes.
+  /// invoked from shard threads under the real runtimes.
   using Hook = std::function<void(ProcessId node, const EventId& id,
                                   const LatencySample& sample)>;
 

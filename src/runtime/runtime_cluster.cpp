@@ -1,406 +1,48 @@
 #include "runtime/runtime_cluster.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "obs/exporters.h"
-#include "obs/flight_recorder.h"
-#include "obs/trace.h"
-#include "util/ensure.h"
-
 namespace epto::runtime {
 
-namespace {
-
-/// Uniform sampler over a static membership 0..count-1 (the runtime
-/// cluster has fixed membership; a deployment would plug a real PSS in).
-class StaticUniformSampler final : public PeerSampler {
- public:
-  StaticUniformSampler(ProcessId self, std::size_t count, util::Rng rng)
-      : self_(self), rng_(rng) {
-    others_.reserve(count - 1);
-    for (std::size_t id = 0; id < count; ++id) {
-      if (static_cast<ProcessId>(id) != self) others_.push_back(static_cast<ProcessId>(id));
-    }
-  }
-
-  std::vector<ProcessId> samplePeers(std::size_t k) override {
-    const std::size_t want = std::min(k, others_.size());
-    for (std::size_t i = 0; i < want; ++i) {
-      const std::size_t j = i + rng_.below(others_.size() - i);
-      std::swap(others_[i], others_[j]);
-    }
-    return {others_.begin(), others_.begin() + static_cast<std::ptrdiff_t>(want)};
-  }
-
- private:
-  ProcessId self_;
-  util::Rng rng_;
-  std::vector<ProcessId> others_;
-};
-
-}  // namespace
-
-RuntimeCluster::RuntimeCluster(RuntimeOptions options)
-    : options_(options),
-      epoch_(Clock::now()),
-      masterRng_(options.seed),
-      faults_(options.faultPlan != nullptr
-                  ? std::make_unique<fault::FaultController>(*options.faultPlan)
-                  : nullptr),
+RuntimeCluster::RuntimeCluster(const RuntimeOptions& options)
+    : NodeHost(options, /*modelLossRate=*/options.lossRate),
       transport_(InMemoryTransport::Options{options.lossRate, options.minDelay,
                                             options.maxDelay, options.serializeFrames,
-                                            options.corruptionRate, options.wireLineage,
-                                            options.wireQos},
-                 masterRng_.split()) {
-  EPTO_ENSURE_MSG(options_.nodeCount >= 2, "need at least two nodes");
-  EPTO_ENSURE_MSG(options_.roundPeriod.count() > 0, "round period must be positive");
-  if (faults_ != nullptr) {
-    EPTO_ENSURE_MSG(faults_->plan().maxNode() < options_.nodeCount,
-                    "fault plan targets a node beyond the cluster size");
-    transport_.attachFaults(faults_.get(), [this] { return ticksNow(); });
+                                            options.corruptionRate,
+                                            /*wireLineage=*/true, /*wireQos=*/true},
+                 util::Rng(options.seed).split()) {
+  transport_.attachFaults(faults());
+  for (std::size_t i = 0; i < nodeCount(); ++i) {
+    transport_.registerEndpoint(static_cast<ProcessId>(i));
   }
-
-  const Config derived = Config::forSystemSize(options_.nodeCount, options_.clockMode,
-                                               Robustness{.c = options_.c});
-  fanout_ = options_.fanoutOverride.value_or(derived.fanout);
-  ttl_ = options_.ttlOverride.value_or(derived.ttl);
-
-  nodes_.reserve(options_.nodeCount);
-  for (std::size_t i = 0; i < options_.nodeCount; ++i) {
-    const auto id = static_cast<ProcessId>(i);
-    transport_.registerEndpoint(id);
-
-    auto node = std::make_unique<NodeState>();
-    node->id = id;
-    node->process = makeProcess(id, /*incarnation=*/0);
-    node->controller = makeController(id);
-    nodes_.push_back(std::move(node));
-    lifetimes_[id] = metrics::ProcessLifetime{0, std::nullopt};
-  }
-
-  // Register every node's instruments (at their zero values) before any
-  // thread runs, so a scrape or Prometheus exposition taken at any point
-  // of the run already covers the full metric surface.
-  for (const auto& node : nodes_) node->process->metricsSnapshot().recordTo(registry_);
-  syncTransportMetrics();
-
-  auto scrapeInterval = options_.scrapeInterval;
-  if (scrapeInterval.count() == 0 && !options_.metricsOutPath.empty()) {
-    scrapeInterval = std::chrono::milliseconds(100);
-  }
-  if (scrapeInterval.count() > 0) {
-    scrape_ = std::make_unique<obs::ScrapeLoop>(
-        registry_,
-        obs::ScrapeLoop::Options{scrapeInterval, options_.metricsOutPath},
-        [this] { return ticksNow(); }, [this] { syncTransportMetrics(); });
-  }
+  publishSubstrateMetrics();
 }
 
 RuntimeCluster::~RuntimeCluster() { stop(); }
 
-std::unique_ptr<Process> RuntimeCluster::makeProcess(ProcessId id,
-                                                     std::uint32_t incarnation) {
-  Config cfg;
-  cfg.fanout = fanout_;
-  cfg.ttl = ttl_;
-  cfg.clockMode = options_.clockMode;
-  cfg.speculation.enabled = options_.speculation;
-  cfg.speculation.confidenceThreshold = options_.speculationThreshold;
-  cfg.speculation.maxWindow = options_.speculationWindow;
-  cfg.stabilityModel.systemSize = options_.nodeCount;
-  cfg.stabilityModel.fanout = fanout_;
-  cfg.stabilityModel.messageLossRate = options_.lossRate;
-  if (options_.clockMode == ClockMode::Global) {
-    // Global clocks here are microsecond ticks since the epoch.
-    cfg.stabilityModel.ticksPerRound =
-        static_cast<Timestamp>(options_.roundPeriod.count());
-  }
-  // Deterministic per-(node, incarnation) sampler stream, so a restart
-  // does not depend on masterRng_ (only touched on the ctor thread).
-  util::Rng samplerRng(
-      util::mix64(options_.seed + 0x9E3779B97F4A7C15ULL * (incarnation + 1)) ^ id);
-  auto sampler =
-      std::make_shared<StaticUniformSampler>(id, options_.nodeCount, samplerRng);
-  auto process = std::make_unique<Process>(
-      id, cfg, std::move(sampler),
-      [this, id](const Event& event, DeliveryTag tag) {
-        const util::MutexLock lock(trackerMutex_);
-        tracker_.onDeliver(id, event.id, ticksNow(), tag);
-        ledger_.onDeliver(id, event.id);
-      },
-      [this]() { return ticksNow(); }, &latencyRecorder_);
-  process->setIncarnation(static_cast<std::uint16_t>(incarnation));
-  if (incarnation > 0) {
-    // Disjoint EventId range per incarnation (~1M broadcasts each).
-    process->startSequenceAt(incarnation << 20U);
-  }
-  return process;
-}
-
-std::unique_ptr<adapt::FeedbackController> RuntimeCluster::makeController(
-    ProcessId id) const {
-  if (!options_.adaptive) return nullptr;
-  adapt::ControllerConfig config;
-  config.worstCase.systemSize = options_.nodeCount;
-  config.worstCase.c = options_.c;
-  config.worstCase.logicalTime = options_.clockMode == ClockMode::Logical;
-  config.worstCase.messageLossRate = options_.adaptiveWorstCaseLoss;
-  config.initialLossRate = options_.adaptiveInitialLoss;
-  config.initialTtl = ttl_;
-  config.initialFanout = fanout_;
-  config.self = id;
-  return std::make_unique<adapt::FeedbackController>(config);
-}
-
-Timestamp RuntimeCluster::ticksNow() const {
-  return static_cast<Timestamp>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - epoch_).count());
-}
-
-void RuntimeCluster::start() {
-  EPTO_ENSURE_MSG(!running_.exchange(true), "cluster already started");
-  stopRequested_ = false;
-  // Fault-plan timestamps are relative to start(), not construction.
-  epoch_ = Clock::now();
-  for (auto& node : nodes_) {
-    node->thread = std::thread([this, raw = node.get()] { nodeLoop(*raw); });
-  }
-  if (scrape_ != nullptr) scrape_->start();
-}
-
-void RuntimeCluster::broadcast(std::size_t index, PayloadPtr payload, QosClass qos) {
-  EPTO_ENSURE_MSG(index < nodes_.size(), "node index out of range");
-  NodeState& node = *nodes_[index];
-  if (!node.up.load(std::memory_order_acquire)) {
-    // Crashed application node: the broadcast never happens. (A request
-    // racing with the crash is discarded by the node loop instead.)
-    discardedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-    requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  {
-    const util::MutexLock lock(node.broadcastMutex);
-    node.pendingBroadcasts.push_back(PendingBroadcast{std::move(payload), qos});
-  }
-  requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool RuntimeCluster::nodeDown(std::size_t index) const {
-  EPTO_ENSURE_MSG(index < nodes_.size(), "node index out of range");
-  return !nodes_[index]->up.load(std::memory_order_acquire);
-}
-
-std::vector<ProcessId> RuntimeCluster::upNodes() const {
-  std::vector<ProcessId> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    if (node->up.load(std::memory_order_acquire)) ids.push_back(node->id);
-  }
-  return ids;
-}
-
-void RuntimeCluster::enterCrash(NodeState& node) {
-  const Timestamp now = ticksNow();
-  faults_->noteCrash(node.id, now);
-  if (!options_.flightDumpPath.empty()) {
-    (void)obs::FlightRecorder::global().dumpTo(
-        options_.flightDumpPath, "crash node=" + std::to_string(node.id));
-  }
-  node.process.reset();  // fresh state on rejoin — the crash loses everything
-  node.up.store(false, std::memory_order_release);
-  // Broadcast requests parked at this node die with it.
-  std::vector<PendingBroadcast> discarded;
-  {
-    const util::MutexLock lock(node.broadcastMutex);
-    discarded.swap(node.pendingBroadcasts);
-  }
-  discardedBroadcasts_.fetch_add(discarded.size(), std::memory_order_relaxed);
-  {
-    const util::MutexLock lock(trackerMutex_);
-    tracker_.onProcessCrash(node.id, now);
-    ledger_.onCrash(node.id);
-    lifetimes_[node.id].leftAt = now;
+void RuntimeCluster::ingest(Node& node) {
+  for (Envelope& envelope : transport_.mailboxOf(node.id).drainReady(Clock::now())) {
+    if (const BallPtr ball = transport_.openEnvelope(envelope); ball != nullptr) {
+      node.process->onBall(*ball);
+    }
   }
 }
 
-void RuntimeCluster::leaveCrash(NodeState& node) {
-  const Timestamp now = ticksNow();
-  // Whatever landed in the mailbox while we were dead is lost.
+void RuntimeCluster::send(Node& node, const Process::RoundOutput& out, Timestamp now) {
+  if (out.ball == nullptr) return;
+  for (const ProcessId target : out.targets) transport_.send(node.id, target, out.ball, now);
+}
+
+void RuntimeCluster::discardInput(Node& node) {
   (void)transport_.mailboxOf(node.id).drainReady(Clock::time_point::max());
-  ++node.incarnation;
-  node.process = makeProcess(node.id, node.incarnation);
-  // The fresh incarnation starts from the static tuning again; whatever
-  // the old controller had learned died with the old process state.
-  node.controller = makeController(node.id);
-  node.lastBallsReceived = 0;
-  {
-    const util::MutexLock lock(trackerMutex_);
-    tracker_.onProcessRestart(node.id, now);
-    lifetimes_[node.id] = metrics::ProcessLifetime{now, std::nullopt};
-  }
-  faults_->noteRestart(node.id, now);
-  node.up.store(true, std::memory_order_release);
 }
 
-void RuntimeCluster::nodeLoop(NodeState& node) {
-  util::Rng rng(util::mix64(options_.seed) ^ node.id);
-  const auto jitteredPeriod = [&]() {
-    const double factor = 1.0 + options_.roundJitter * (2.0 * rng.uniform01() - 1.0);
-    return std::chrono::microseconds(static_cast<std::int64_t>(
-        std::max(1.0, static_cast<double>(options_.roundPeriod.count()) * factor)));
-  };
-
-  Mailbox& mailbox = transport_.mailboxOf(node.id);
-  auto nextRound = Clock::now() + jitteredPeriod();
-  bool stallNoted = false;
-
-  while (!stopRequested_.load(std::memory_order_relaxed)) {
-    if (faults_ != nullptr) {
-      const Timestamp now = ticksNow();
-      if (faults_->isCrashed(node.id, now)) {
-        if (node.up.load(std::memory_order_relaxed)) enterCrash(node);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      if (!node.up.load(std::memory_order_relaxed)) {
-        leaveCrash(node);
-        nextRound = Clock::now() + jitteredPeriod();
-      }
-      if (faults_->isStalled(node.id, now)) {
-        // GC-pause model: no rounds, no mailbox drain — incoming traffic
-        // piles up and the node must catch up when it resumes.
-        if (!stallNoted) {
-          stallNoted = true;
-          faults_->noteStall(node.id, now);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        nextRound = Clock::now() + jitteredPeriod();
-        continue;
-      }
-      stallNoted = false;
-    }
-
-    mailbox.waitReadyOrDeadline(nextRound);
-
-    for (Envelope& envelope : mailbox.drainReady(Clock::now())) {
-      if (const BallPtr ball = transport_.openEnvelope(envelope); ball != nullptr) {
-        node.process->onBall(*ball);
-      }
-    }
-
-    if (Clock::now() < nextRound) continue;
-
-    // Inject application broadcasts at the round boundary.
-    std::vector<PendingBroadcast> pending;
-    {
-      const util::MutexLock lock(node.broadcastMutex);
-      pending.swap(node.pendingBroadcasts);
-    }
-    for (PendingBroadcast& request : pending) {
-      const Event event =
-          node.process->broadcast(std::move(request.payload), request.qos);
-      const std::vector<ProcessId> expected = upNodes();
-      const util::MutexLock lock(trackerMutex_);
-      tracker_.onBroadcast(node.id, event.id, event.orderKey(), ticksNow());
-      ledger_.onBroadcast(event.id, expected);
-    }
-
-    const auto out = node.process->onRound();
-    if (out.ball != nullptr) {
-      for (const ProcessId target : out.targets) {
-        transport_.send(node.id, target, out.ball);
-      }
-    }
-    if (node.controller != nullptr) {
-      // Close the feedback loop on this node's own observations.
-      const std::uint64_t ballsReceived =
-          node.process->disseminationStats().ballsReceived;
-      adapt::RoundSignals signals;
-      signals.ballsReceived =
-          static_cast<double>(ballsReceived - node.lastBallsReceived);
-      node.lastBallsReceived = ballsReceived;
-      const adapt::Decision decision = node.controller->onRound(signals);
-      if (decision.changed) node.process->retune(decision.ttl, decision.fanout);
-    }
-    // Publish this node's stats into the shared registry: a handful of
-    // relaxed atomic stores, so the scrape thread never touches the
-    // Process and the node thread never blocks on the scrape.
-    node.process->metricsSnapshot().recordTo(registry_);
-    nextRound += jitteredPeriod();
-  }
-}
-
-bool RuntimeCluster::awaitQuiescence(std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
-  for (;;) {
-    {
-      const util::MutexLock lock(trackerMutex_);
-      const bool allInjected =
-          tracker_.broadcastCount() + discardedBroadcasts_.load(std::memory_order_relaxed) >=
-          requestedBroadcasts_.load(std::memory_order_relaxed);
-      if (allInjected && ledger_.quiescent()) {
-        quiescenceReport_.clear();
-        return true;
-      }
-      if (Clock::now() >= deadline) {
-        quiescenceReport_ = allInjected
-                                ? ledger_.missingReport()
-                                : "broadcast requests still queued at node threads; " +
-                                      ledger_.missingReport();
-        return false;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-}
-
-std::string RuntimeCluster::lastQuiescenceReport() const {
-  const util::MutexLock lock(trackerMutex_);
-  return quiescenceReport_;
-}
-
-void RuntimeCluster::stop() {
-  if (!running_.exchange(false)) return;
-  stopRequested_ = true;
-  for (auto& node : nodes_) transport_.mailboxOf(node->id).interrupt();
-  for (auto& node : nodes_) {
-    if (node->thread.joinable()) node->thread.join();
-  }
-  if (scrape_ != nullptr) scrape_->stop();  // final post-run sample
-}
-
-void RuntimeCluster::syncTransportMetrics() {
+void RuntimeCluster::publishSubstrateMetrics() {
   const InMemoryTransport::Stats stats = transport_.stats();
-  registry_.counter("epto_transport_sent_total").set(stats.sent);
-  registry_.counter("epto_transport_dropped_total").set(stats.dropped);
-  registry_.counter("epto_transport_fault_drops_total").set(stats.faultDrops);
-  registry_.counter("epto_transport_bytes_sent_total").set(stats.bytesSent);
-  registry_.counter("epto_transport_frames_rejected_total").set(stats.framesRejected);
-  registry_.counter("epto_trace_dropped_total").set(obs::Tracer::global().dropped());
-  registry_.counter("epto_flight_dropped_total")
-      .set(obs::FlightRecorder::global().dropped());
-  if (faults_ != nullptr) faults_->recordTo(registry_);
-}
-
-std::size_t RuntimeCluster::dumpFlightRecorder(const std::string& path,
-                                               const std::string& reason) {
-  return obs::FlightRecorder::global().dumpTo(path, reason);
-}
-
-std::string RuntimeCluster::prometheusSnapshot() {
-  syncTransportMetrics();
-  return obs::prometheusText(registry_.snapshot());
-}
-
-metrics::TrackerReport RuntimeCluster::report() const {
-  const util::MutexLock lock(trackerMutex_);
-  return tracker_.finalize(lifetimes_, ticksNow());
-}
-
-std::uint64_t RuntimeCluster::broadcastCount() const {
-  const util::MutexLock lock(trackerMutex_);
-  return tracker_.broadcastCount();
+  obs::Registry& registry = metricsRegistry();
+  registry.counter("epto_transport_sent_total").set(stats.sent);
+  registry.counter("epto_transport_dropped_total").set(stats.dropped);
+  registry.counter("epto_transport_fault_drops_total").set(stats.faultDrops);
+  registry.counter("epto_transport_bytes_sent_total").set(stats.bytesSent);
+  registry.counter("epto_transport_frames_rejected_total").set(stats.framesRejected);
 }
 
 }  // namespace epto::runtime

@@ -2,250 +2,53 @@
 // space (the §8.5 "real system implementation" the paper leaves as future
 // work).
 //
-// Each node runs on its own thread: it blocks on its mailbox until the
-// next (steady-clock) round boundary, feeds arriving balls to its
-// sans-io epto::Process, injects application broadcasts, executes the
-// round and ships the resulting ball through the loss/delay-injecting
-// InMemoryTransport. Nothing is synchronized across nodes — rounds drift
-// and interleave like real processes — which exercises exactly the
-// asynchrony the discrete simulator serializes away.
-//
-// The protocol core itself is only ever touched from its owning node
-// thread; cross-thread interaction happens through the mailbox, the
-// broadcast queue and the mutex-guarded tracker.
+// The in-memory substrate driver of NodeHost (runtime/node_host.h): the
+// host's shards run every node's rounds on the steady clock, and this
+// driver supplies the two substrate steps — ingest drains the node's
+// mailbox (decoding frames when serializeFrames is on), send ships the
+// round's ball through the loss/delay-injecting InMemoryTransport.
+// Nothing is synchronized across nodes — rounds drift and interleave like
+// real processes — which exercises exactly the asynchrony the discrete
+// simulator serializes away.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <memory>
-#include <optional>
-#include <thread>
-#include <vector>
 
-#include <string>
-
-#include <unordered_map>
-
-#include "adapt/controller.h"
-#include "core/process.h"
-#include "fault/fault_controller.h"
-#include "fault/fault_plan.h"
-#include "metrics/delivery_tracker.h"
-#include "metrics/quiescence.h"
-#include "obs/latency.h"
-#include "obs/registry.h"
-#include "obs/scrape.h"
+#include "runtime/node_host.h"
 #include "runtime/transport.h"
-#include "util/mutex.h"
-#include "util/rng.h"
-#include "util/thread_annotations.h"
 
 namespace epto::runtime {
 
-struct RuntimeOptions {
-  std::size_t nodeCount = 8;
-  /// Round period delta; jittered per round by +- roundJitter.
-  std::chrono::microseconds roundPeriod{3000};
-  double roundJitter = 0.05;
-  ClockMode clockMode = ClockMode::Logical;
-  double c = 2.0;
-  std::optional<std::size_t> fanoutOverride;
-  std::optional<std::uint32_t> ttlOverride;
+struct RuntimeOptions : NodeOptions {
   /// Transport adversity.
   double lossRate = 0.0;
   std::chrono::microseconds minDelay{0};
   std::chrono::microseconds maxDelay{0};
-  /// Ship balls as wire-codec frames (serialize/deserialize end-to-end)
-  /// instead of shared pointers; see codec/ball_codec.h.
+  /// Ship balls as wire-codec frames (serialize/deserialize end-to-end,
+  /// version-2 frames with lineage and QoS) instead of shared pointers;
+  /// see codec/ball_codec.h.
   bool serializeFrames = false;
   /// With serializeFrames: per-frame probability of a flipped bit in
   /// flight; corrupted frames must be detected and dropped by CRC.
   double corruptionRate = 0.0;
-  /// With serializeFrames: ship version-2 frames carrying per-event
-  /// lineage (hop, origin round, incarnation). Default on — the runtime
-  /// is homogeneous; turn off to emulate a mixed fleet with v1 decoders.
-  bool wireLineage = true;
-  /// With serializeFrames: let frames carry per-event QoS classes. The
-  /// codec only actually emits the flag (and the per-event byte) for
-  /// balls containing a Fast event, so this is wire-neutral for
-  /// Safe-only traffic. Off emulates a fleet whose decoders predate QoS.
-  bool wireQos = true;
-  /// Speculative delivery (core/speculation.h): Fast-class broadcasts
-  /// are surfaced ahead of the committed frontier with confirm/revoke
-  /// notifications. Committed delivery is unaffected.
-  bool speculation = false;
-  double speculationThreshold = 0.9;
-  std::size_t speculationWindow = 64;
-  /// Online TTL/K feedback control (adapt/controller.h): each node runs
-  /// a FeedbackController off its observed ball-arrival shortfall and
-  /// retunes its Process within the Lemma-safe envelope.
-  bool adaptive = false;
-  /// Ceiling of the adaptation envelope (worst loss compensated).
-  double adaptiveWorstCaseLoss = 0.15;
-  /// Loss rate the cluster starts tuned for.
-  double adaptiveInitialLoss = 0.0;
-  /// When non-empty, the flight recorder (obs/flight_recorder.h) is
-  /// dumped to this JSONL file whenever a fault-plan crash takes a node
-  /// down (and on demand via dumpFlightRecorder()).
-  std::string flightDumpPath;
-  /// Scheduled fault injection (fault/fault_plan.h). Timestamps are in
-  /// microseconds since the cluster epoch (start()). Null = fault-free.
-  /// Must outlive the cluster. A crashed node's loop tears its Process
-  /// down and idles; at the restart time it rejoins with fresh state (a
-  /// new incarnation of the same ProcessId) and must re-converge.
-  const fault::FaultPlan* faultPlan = nullptr;
-  std::uint64_t seed = 42;
-  /// Background metrics scrape. 0 disables the thread unless
-  /// metricsOutPath is set (then a 100ms default applies). Every node
-  /// publishes its MetricsSnapshot into the cluster registry after each
-  /// round; the scrape thread snapshots the registry run-wide.
-  std::chrono::milliseconds scrapeInterval{0};
-  /// JSONL time-series destination; empty = no file output.
-  std::string metricsOutPath;
 };
 
-class RuntimeCluster {
+class RuntimeCluster final : public NodeHost {
  public:
-  explicit RuntimeCluster(RuntimeOptions options);
-  ~RuntimeCluster();
+  explicit RuntimeCluster(const RuntimeOptions& options);
+  ~RuntimeCluster() override;
 
-  RuntimeCluster(const RuntimeCluster&) = delete;
-  RuntimeCluster& operator=(const RuntimeCluster&) = delete;
-
-  /// Launch all node threads.
-  void start();
-
-  /// Ask node `index` to broadcast; the event is created on the node's
-  /// thread before its next round. Callable from any thread. Fast-class
-  /// broadcasts are eligible for speculative delivery (no-op unless
-  /// options.speculation is on).
-  void broadcast(std::size_t index, PayloadPtr payload = {},
-                 QosClass qos = QosClass::Safe);
-
-  /// Signal and join all node threads. Idempotent.
-  void stop();
-
-  /// Block until every broadcast so far has been delivered by every node
-  /// that still owes it — crashed nodes owe nothing, restarted nodes only
-  /// owe events broadcast after they rejoined — or `timeout` elapsed.
-  /// Returns true when fully drained; on timeout, lastQuiescenceReport()
-  /// names the outstanding (event, nodes) pairs.
-  bool awaitQuiescence(std::chrono::milliseconds timeout) EPTO_EXCLUDES(trackerMutex_);
-
-  /// Diagnosis of the most recent awaitQuiescence() timeout ("" after a
-  /// successful wait).
-  [[nodiscard]] std::string lastQuiescenceReport() const EPTO_EXCLUDES(trackerMutex_);
-
-  /// Judge the run so far (normally called after stop()).
-  [[nodiscard]] metrics::TrackerReport report() const EPTO_EXCLUDES(trackerMutex_);
-
-  [[nodiscard]] std::size_t fanoutUsed() const noexcept { return fanout_; }
-  [[nodiscard]] std::uint32_t ttlUsed() const noexcept { return ttl_; }
   [[nodiscard]] InMemoryTransport::Stats transportStats() const {
     return transport_.stats();
   }
-  [[nodiscard]] std::uint64_t broadcastCount() const;
-  /// Null when the cluster has no fault plan.
-  [[nodiscard]] const fault::FaultController* faultController() const noexcept {
-    return faults_.get();
-  }
-  /// True while node `index` is inside a fault-injected crash window.
-  [[nodiscard]] bool nodeDown(std::size_t index) const;
-
-  /// The run-wide metrics registry (per-node epto_* instruments plus the
-  /// transport counters). Safe to snapshot from any thread at any time.
-  [[nodiscard]] obs::Registry& metricsRegistry() noexcept { return registry_; }
-  /// Prometheus text exposition of the registry, covering every
-  /// OrderingStats/DisseminationStats counter of every node.
-  [[nodiscard]] std::string prometheusSnapshot();
-  /// Scrapes performed by the background loop (0 when disabled).
-  [[nodiscard]] std::uint64_t scrapeCount() const noexcept {
-    return scrape_ != nullptr ? scrape_->scrapeCount() : 0;
-  }
-  /// The cluster-wide latency decomposition sink (obs/latency.h); install
-  /// hooks before start().
-  [[nodiscard]] obs::LatencyRecorder& latencyRecorder() noexcept {
-    return latencyRecorder_;
-  }
-  /// Dump the process-global flight recorder to `path` (JSONL, append),
-  /// tagged with `reason`. Returns records written. Callable any time —
-  /// the operator's "what just happened" lever.
-  std::size_t dumpFlightRecorder(const std::string& path,
-                                 const std::string& reason = "manual");
 
  private:
-  struct PendingBroadcast {
-    PayloadPtr payload;
-    QosClass qos = QosClass::Safe;
-  };
+  void ingest(Node& node) override;
+  void send(Node& node, const Process::RoundOutput& out, Timestamp now) override;
+  void discardInput(Node& node) override;
+  void publishSubstrateMetrics() override;
 
-  struct NodeState {
-    ProcessId id = 0;
-    std::unique_ptr<Process> process;  ///< node-thread only.
-    /// Feedback controller (node-thread only; null unless adaptive).
-    std::unique_ptr<adapt::FeedbackController> controller;
-    std::uint64_t lastBallsReceived = 0;  ///< node-thread only.
-    std::thread thread;
-    /// Leaf lock: never held together with trackerMutex_ (DESIGN.md §12).
-    util::Mutex broadcastMutex;
-    std::vector<PendingBroadcast> pendingBroadcasts EPTO_GUARDED_BY(broadcastMutex);
-    /// False while inside a crash window. Written by the node thread,
-    /// read by broadcast() and the quiescence bookkeeping.
-    std::atomic<bool> up{true};
-    std::uint32_t incarnation = 0;  ///< node-thread only.
-  };
-
-  void nodeLoop(NodeState& node);
-  [[nodiscard]] std::unique_ptr<Process> makeProcess(ProcessId id,
-                                                     std::uint32_t incarnation);
-  /// Fresh controller starting at the cluster's static tuning (null when
-  /// adaptation is off). Re-created on restart with the Process it steers.
-  [[nodiscard]] std::unique_ptr<adapt::FeedbackController> makeController(
-      ProcessId id) const;
-  /// Enter/leave a crash window (node thread). Handles tracker, ledger,
-  /// lifetime and controller bookkeeping.
-  void enterCrash(NodeState& node) EPTO_EXCLUDES(trackerMutex_);
-  void leaveCrash(NodeState& node) EPTO_EXCLUDES(trackerMutex_);
-  [[nodiscard]] std::vector<ProcessId> upNodes() const;
-  void syncTransportMetrics();
-  [[nodiscard]] Timestamp ticksNow() const;
-
-  RuntimeOptions options_;
-  std::size_t fanout_ = 0;
-  std::uint32_t ttl_ = 0;
-  Clock::time_point epoch_;
-
-  util::Rng masterRng_;
-  /// Constructed before transport_ (which stores a pointer to it).
-  std::unique_ptr<fault::FaultController> faults_;
   InMemoryTransport transport_;
-  std::vector<std::unique_ptr<NodeState>> nodes_;
-
-  obs::Registry registry_;
-  /// Constructed after registry_ (it registers its histograms there).
-  obs::LatencyRecorder latencyRecorder_{registry_};
-  std::unique_ptr<obs::ScrapeLoop> scrape_;
-
-  /// Correctness-accounting capability: tracker, ledger, lifetimes and
-  /// the quiescence diagnosis move together. Leaf lock — nothing else is
-  /// ever acquired while it is held.
-  mutable util::Mutex trackerMutex_;
-  metrics::DeliveryTracker tracker_ EPTO_GUARDED_BY(trackerMutex_);
-  /// Who still owes which event (fault-aware quiescence).
-  metrics::QuiescenceLedger ledger_ EPTO_GUARDED_BY(trackerMutex_);
-  /// Final-incarnation lifetimes for report().
-  std::unordered_map<ProcessId, metrics::ProcessLifetime> lifetimes_
-      EPTO_GUARDED_BY(trackerMutex_);
-  std::string quiescenceReport_ EPTO_GUARDED_BY(trackerMutex_);
-  /// broadcast() requests not yet injected by node threads; quiescence
-  /// requires the queue drained AND every owed delivery performed.
-  std::atomic<std::uint64_t> requestedBroadcasts_{0};
-  /// Requests discarded because the target node was crashed.
-  std::atomic<std::uint64_t> discardedBroadcasts_{0};
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopRequested_{false};
 };
 
 }  // namespace epto::runtime

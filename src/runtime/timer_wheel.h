@@ -1,11 +1,9 @@
 // Hashed timer wheel — the per-shard round scheduler.
 //
 // A shard owns many EpTO nodes, each with its own jittered round
-// deadline. The thread-per-node runtime got scheduling for free (every
-// node slept on its own socket until its own deadline); a shard thread
-// needs one structure answering two questions cheaply on every loop
-// iteration: "how long may I block in poll()?" (nextDue) and "which
-// nodes' rounds are due now?" (expire). A hashed wheel gives both at
+// deadline. A shard thread needs one structure answering two questions
+// cheaply on every loop iteration: "how long may I block?" (nextDue) and
+// "which nodes' rounds are due now?" (expire). A hashed wheel gives both at
 // O(1) amortized per timer: slots of `granularity` width, a timer lives
 // in the slot of its due tick, and the cursor sweeps slots as time
 // advances. Entries hashed into a visited slot from a future lap are

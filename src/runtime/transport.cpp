@@ -6,11 +6,8 @@
 namespace epto::runtime {
 
 void Mailbox::push(Envelope envelope) {
-  {
-    const util::MutexLock lock(mutex_);
-    queue_.push(std::move(envelope));
-  }
-  cv_.notify_one();
+  const util::MutexLock lock(mutex_);
+  queue_.push(std::move(envelope));
 }
 
 std::vector<Envelope> Mailbox::drainReady(Clock::time_point now) {
@@ -23,28 +20,6 @@ std::vector<Envelope> Mailbox::drainReady(Clock::time_point now) {
   return ready;
 }
 
-void Mailbox::waitReadyOrDeadline(Clock::time_point deadline) {
-  util::CondVarLock lock(mutex_);
-  for (;;) {
-    const auto now = Clock::now();
-    if (now >= deadline) return;
-    if (!queue_.empty()) {
-      if (queue_.top().deliverAt <= now) return;
-      // Sleep until the earliest in-flight message lands (or the round
-      // boundary, whichever is first).
-      const auto wake = std::min(deadline, queue_.top().deliverAt);
-      lock.waitUntil(cv_, wake);
-    } else {
-      lock.waitUntil(cv_, deadline);
-    }
-    // Spurious wakeups and interrupt() both land here; the loop
-    // re-evaluates the condition and the deadline.
-    if (Clock::now() >= deadline) return;
-  }
-}
-
-void Mailbox::interrupt() { cv_.notify_all(); }
-
 InMemoryTransport::InMemoryTransport(Options options, util::Rng rng)
     : options_(options), rng_(rng) {
   EPTO_ENSURE_MSG(options_.lossRate >= 0.0 && options_.lossRate < 1.0,
@@ -56,13 +31,7 @@ InMemoryTransport::InMemoryTransport(Options options, util::Rng rng)
                   "minDelay must not exceed maxDelay");
 }
 
-void InMemoryTransport::attachFaults(fault::FaultController* faults,
-                                     std::function<Timestamp()> now) {
-  EPTO_ENSURE_MSG(faults == nullptr || now != nullptr,
-                  "fault controller needs a clock");
-  faults_ = faults;
-  faultNow_ = std::move(now);
-}
+void InMemoryTransport::attachFaults(fault::FaultController* faults) { faults_ = faults; }
 
 void InMemoryTransport::registerEndpoint(ProcessId id) {
   const auto [it, inserted] = mailboxes_.emplace(id, std::make_unique<Mailbox>());
@@ -75,7 +44,7 @@ Mailbox& InMemoryTransport::mailboxOf(ProcessId id) {
   return *it->second;
 }
 
-void InMemoryTransport::send(ProcessId from, ProcessId to, BallPtr ball) {
+void InMemoryTransport::send(ProcessId from, ProcessId to, BallPtr ball, Timestamp now) {
   bool dropped = false;
   bool faultDropped = false;
   bool corrupt = false;
@@ -84,7 +53,6 @@ void InMemoryTransport::send(ProcessId from, ProcessId to, BallPtr ball) {
   std::chrono::microseconds faultDelay{0};
 
   if (faults_ != nullptr) {
-    const Timestamp now = faultNow_();
     const fault::FaultController::LinkFate fate = faults_->linkFate(from, to, now);
     if (fate.cut) {
       faults_->noteLinkDrop(from, to, now, fate.cutBy);

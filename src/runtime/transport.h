@@ -3,16 +3,13 @@
 // The real-system counterpart of sim::SimNetwork: every node owns a
 // mailbox; send() applies an independent loss trial and a uniformly
 // random delivery delay, then enqueues the ball into the target's
-// mailbox. Node threads block on their mailbox with a deadline (the next
-// round boundary), which gives the runtime real asynchrony — messages
-// arrive whenever they arrive, rounds fire on the node's own steady
-// clock, and nothing is globally synchronized.
+// mailbox. The owning shard drains every ready envelope before it runs a
+// round (runtime/node_host.h), so messages arrive whenever they arrive
+// and rounds fire on each node's own steady-clock schedule.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <queue>
 #include <unordered_map>
@@ -37,7 +34,7 @@ struct Envelope {
   Clock::time_point deliverAt;
 };
 
-/// One node's inbox. Thread-safe; a single consumer (the node thread)
+/// One node's inbox. Thread-safe; a single consumer (the owning shard)
 /// and many producers.
 class Mailbox {
  public:
@@ -47,12 +44,6 @@ class Mailbox {
   [[nodiscard]] std::vector<Envelope> drainReady(Clock::time_point now)
       EPTO_EXCLUDES(mutex_);
 
-  /// Block until an envelope is (or becomes) ready, or until `deadline`.
-  void waitReadyOrDeadline(Clock::time_point deadline) EPTO_EXCLUDES(mutex_);
-
-  /// Wake a blocked consumer (used on shutdown).
-  void interrupt();
-
  private:
   struct Later {
     bool operator()(const Envelope& a, const Envelope& b) const {
@@ -61,7 +52,6 @@ class Mailbox {
   };
 
   util::Mutex mutex_;
-  std::condition_variable cv_;
   std::priority_queue<Envelope, std::vector<Envelope>, Later> queue_ EPTO_GUARDED_BY(mutex_);
 };
 
@@ -93,16 +83,18 @@ class InMemoryTransport {
 
   /// Route every subsequent send() through the fault controller's link
   /// fate (partition cuts, burst loss, delay spikes, crashed endpoints).
-  /// `now` maps wall time onto the controller's Timestamp domain
-  /// (microseconds since the cluster epoch). Call before any sender runs;
-  /// the controller must outlive the transport.
-  void attachFaults(fault::FaultController* faults, std::function<Timestamp()> now);
+  /// Call before any sender runs; the controller must outlive the
+  /// transport.
+  void attachFaults(fault::FaultController* faults);
 
   /// Create the mailbox for `id`. Must happen before anyone sends to it.
   void registerEndpoint(ProcessId id);
 
-  /// Fire-and-forget transmission; callable from any thread.
-  void send(ProcessId from, ProcessId to, BallPtr ball)
+  /// Fire-and-forget transmission; callable from any thread. `now` is
+  /// the sender's round timestamp (microseconds since the cluster epoch):
+  /// the link fate is judged at the instant the sender's own fault gate
+  /// read, never at a later clock reading.
+  void send(ProcessId from, ProcessId to, BallPtr ball, Timestamp now)
       EPTO_EXCLUDES(rngMutex_, statsMutex_);
 
   [[nodiscard]] Mailbox& mailboxOf(ProcessId id);
@@ -127,7 +119,6 @@ class InMemoryTransport {
   /// Set once by attachFaults() before threads start; read-only afterwards
   /// (no capability — const-after-init, like mailboxes_ below).
   fault::FaultController* faults_ = nullptr;
-  std::function<Timestamp()> faultNow_;
   /// rngMutex_ and statsMutex_ are independent leaf locks; send() takes
   /// each in turn and never holds both (see DESIGN.md §12 hierarchy).
   mutable util::Mutex rngMutex_;

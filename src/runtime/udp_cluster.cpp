@@ -3,42 +3,44 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <thread>
+#include <ctime>
 
 #include "codec/ball_codec.h"
 #include "codec/fragment_codec.h"
-#include "obs/exporters.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 #include "util/ensure.h"
 
 namespace epto::runtime {
 
 namespace {
 
-/// Uniform sampler over the static membership 0..count-1.
-class StaticSampler final : public PeerSampler {
- public:
-  StaticSampler(ProcessId self, std::size_t count, util::Rng rng) : rng_(rng) {
-    others_.reserve(count - 1);
-    for (std::size_t id = 0; id < count; ++id) {
-      if (static_cast<ProcessId>(id) != self) others_.push_back(static_cast<ProcessId>(id));
-    }
-  }
+/// Datagrams drained per recvmmsg() call (the per-wakeup
+/// kMaxDatagramsPerPoll budget still bounds a whole wakeup).
+constexpr std::size_t kRecvBatch = 32;
+/// Datagrams pulled off one socket per wakeup.
+constexpr std::size_t kMaxDatagramsPerPoll = 512;
+/// Datagrams accumulated per node round before a sendmmsg() flush (the
+/// round end always flushes).
+constexpr std::size_t kSendBatch = 64;
+/// Partial (fragmented, incomplete) frames held per node.
+constexpr std::size_t kReassemblyCapacity = 64;
 
-  std::vector<ProcessId> samplePeers(std::size_t k) override {
-    const std::size_t want = std::min(k, others_.size());
-    for (std::size_t i = 0; i < want; ++i) {
-      const std::size_t j = i + rng_.below(others_.size() - i);
-      std::swap(others_[i], others_[j]);
-    }
-    return {others_.begin(), others_.begin() + static_cast<std::ptrdiff_t>(want)};
-  }
-
- private:
-  util::Rng rng_;
-  std::vector<ProcessId> others_;
-};
+const UdpClusterOptions& validated(const UdpClusterOptions& options) {
+  EPTO_ENSURE_MSG(options.mtuBytes >= codec::kMinFragmentMtu &&
+                      options.mtuBytes <= kMaxUdpDatagramBytes,
+                  "mtuBytes outside [kMinFragmentMtu, kMaxUdpDatagramBytes]");
+  EPTO_ENSURE_MSG(options.ingressCapacity > 0, "ingressCapacity must be positive");
+  EPTO_ENSURE_MSG(options.ingressDrainBudget > 0, "ingressDrainBudget must be positive");
+  EPTO_ENSURE_MSG(options.reassemblyTtlRounds > 0, "reassemblyTtlRounds must be positive");
+  EPTO_ENSURE_MSG(options.sendBackoff.maxAttempts >= 1,
+                  "sendBackoff needs at least one attempt");
+  EPTO_ENSURE_MSG(options.sendBackoff.initialDelay.count() >= 0,
+                  "sendBackoff initialDelay must not be negative");
+  EPTO_ENSURE_MSG(options.sendBackoff.multiplier >= 1.0,
+                  "sendBackoff multiplier must be at least 1");
+  EPTO_ENSURE_MSG(options.mailboxCapacity > 0, "mailboxCapacity must be positive");
+  return options;
+}
 
 /// Relaxed atomic max (for the ingress high-water gauge).
 void storeMax(std::atomic<std::uint64_t>& cell, std::uint64_t value) {
@@ -50,320 +52,72 @@ void storeMax(std::atomic<std::uint64_t>& cell, std::uint64_t value) {
 
 }  // namespace
 
-UdpCluster::UdpCluster(UdpClusterOptions options)
-    : options_(options),
-      epoch_(std::chrono::steady_clock::now()),
-      masterRng_(options.seed),
-      faults_(options.faultPlan != nullptr
-                  ? std::make_unique<fault::FaultController>(*options.faultPlan)
-                  : nullptr) {
-  EPTO_ENSURE_MSG(options_.nodeCount >= 2, "need at least two nodes");
-  EPTO_ENSURE_MSG(options_.roundPeriod.count() > 0, "round period must be positive");
-  EPTO_ENSURE_MSG(options_.mtuBytes >= codec::kMinFragmentMtu &&
-                      options_.mtuBytes <= kMaxUdpDatagramBytes,
-                  "mtuBytes outside [kMinFragmentMtu, kMaxUdpDatagramBytes]");
-  EPTO_ENSURE_MSG(options_.ingressCapacity > 0, "ingressCapacity must be positive");
-  EPTO_ENSURE_MSG(options_.ingressDrainBudget > 0, "ingressDrainBudget must be positive");
-  EPTO_ENSURE_MSG(options_.maxDatagramsPerPoll > 0,
-                  "maxDatagramsPerPoll must be positive");
-  EPTO_ENSURE_MSG(options_.reassemblyCapacity > 0, "reassemblyCapacity must be positive");
-  EPTO_ENSURE_MSG(options_.reassemblyTtlRounds > 0,
-                  "reassemblyTtlRounds must be positive");
-  EPTO_ENSURE_MSG(options_.sendBackoff.maxAttempts >= 1,
-                  "sendBackoff needs at least one attempt");
-  EPTO_ENSURE_MSG(options_.sendBackoff.initialDelay.count() >= 0,
-                  "sendBackoff initialDelay must not be negative");
-  EPTO_ENSURE_MSG(options_.sendBackoff.multiplier >= 1.0,
-                  "sendBackoff multiplier must be at least 1");
-  EPTO_ENSURE_MSG(options_.recvBatch > 0, "recvBatch must be positive");
-  EPTO_ENSURE_MSG(options_.sendBatch > 0, "sendBatch must be positive");
-  EPTO_ENSURE_MSG(options_.mailboxCapacity > 0, "mailboxCapacity must be positive");
-  if (faults_ != nullptr) {
-    EPTO_ENSURE_MSG(faults_->plan().maxNode() < options_.nodeCount,
-                    "fault plan targets a node beyond the cluster size");
-  }
-
-  const Config derived = Config::forSystemSize(options_.nodeCount, options_.clockMode,
-                                               Robustness{.c = options_.c});
-  fanout_ = options_.fanoutOverride.value_or(derived.fanout);
-  ttl_ = options_.ttlOverride.value_or(derived.ttl);
-
-  const ReassemblyOptions reassembly{options_.reassemblyCapacity,
-                                     options_.reassemblyTtlRounds,
-                                     /*maxFrameBytes=*/std::size_t{8} << 20};
-  nodes_.reserve(options_.nodeCount);
-  ports_.reserve(options_.nodeCount);
-  for (std::size_t i = 0; i < options_.nodeCount; ++i) {
-    const auto id = static_cast<ProcessId>(i);
-    // Receive buffer == MTU: every conforming datagram fits, and an
-    // over-MTU datagram is counted as truncated instead of mis-parsed.
-    auto node = std::make_unique<NodeState>(options_.mtuBytes, reassembly,
-                                            options_.ingressCapacity,
-                                            options_.watchdogMissedRounds);
-    node->id = id;
+UdpCluster::UdpCluster(const UdpClusterOptions& options)
+    : NodeHost(validated(options),
+               // Datagram loss is unobservable to the oracle here.
+               /*modelLossRate=*/0.0, options.shardCount, options.mailboxCapacity,
+               [&options]() -> std::unique_ptr<Node> {
+                 // Receive buffer == MTU: every conforming datagram fits,
+                 // and an over-MTU datagram is counted as truncated
+                 // instead of mis-parsed.
+                 return std::make_unique<UdpNode>(
+                     options.mtuBytes,
+                     ReassemblyOptions{kReassemblyCapacity, options.reassemblyTtlRounds,
+                                       /*maxFrameBytes=*/std::size_t{8} << 20},
+                     options.ingressCapacity, options.watchdogMissedRounds);
+               }),
+      options_(options) {
+  ports_.reserve(nodeCount());
+  for (std::size_t i = 0; i < nodeCount(); ++i) {
+    UdpNode& node = udp(this->node(i));
     if (options_.hardenIngress) {
       core::IngressGuardOptions guardOptions;
-      guardOptions.maxTtl = ttl_;
+      guardOptions.maxTtl = ttlUsed();
       guardOptions.maxBallsPerSenderPerRound = options_.ingressRateCap;
       // Membership is a static port table here, so a source id outside
       // [0, nodeCount) can only be forged.
       guardOptions.knownSources = options_.nodeCount;
-      node->guard = std::make_unique<core::IngressGuard>(guardOptions);
+      node.guard = std::make_unique<core::IngressGuard>(guardOptions);
     }
-    ports_.push_back(node->socket.port());
-    node->process = makeProcess(id, /*incarnation=*/0);
-    node->controller = makeController(id);
-    nodes_.push_back(std::move(node));
-    lifetimes_[id] = metrics::ProcessLifetime{0, std::nullopt};
+    ports_.push_back(node.socket.port());
   }
-
-  // Pre-register every node's instruments so any scrape covers the full
-  // metric surface from the first sample.
-  for (const auto& node : nodes_) node->process->metricsSnapshot().recordTo(registry_);
 
   // Batched-I/O histograms, registered once so shard hot paths observe
   // through a raw pointer instead of the registry's find-or-create lock.
   // Bounds 1,2,4,...,512: a batch of 1 is the degenerate (unbatched)
-  // case, 512 the maxDatagramsPerPoll ceiling.
-  recvBatchSize_ = &registry_.histogram("epto_udp_recv_batch_size", {},
-                                        obs::Registry::exponentialBounds(1, 2, 10));
-  sendBatchSize_ = &registry_.histogram("epto_udp_send_batch_size", {},
-                                        obs::Registry::exponentialBounds(1, 2, 10));
-
-  if (options_.executor == ExecutorMode::Sharded) {
-    ShardedExecutorOptions exec;
-    exec.nodeCount = options_.nodeCount;
-    exec.shardCount = options_.shardCount;
-    exec.pinCores = options_.pinShards;
-    exec.mailboxCapacity = options_.mailboxCapacity;
-    executor_ = std::make_unique<ShardedExecutor>(
-        exec, [this](ShardedExecutor::ShardContext& ctx) { shardLoop(ctx); });
-    // Pre-register the per-shard mailbox gauges too.
-    for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {
-      registry_.gauge("epto_shard_queue_depth", {{"shard", std::to_string(shard)}});
-    }
-  }
-
-  auto scrapeInterval = options_.scrapeInterval;
-  if (scrapeInterval.count() == 0 && !options_.metricsOutPath.empty()) {
-    scrapeInterval = std::chrono::milliseconds(100);
-  }
-  if (scrapeInterval.count() > 0) {
-    scrape_ = std::make_unique<obs::ScrapeLoop>(
-        registry_,
-        obs::ScrapeLoop::Options{scrapeInterval, options_.metricsOutPath},
-        [this] { return ticksNow(); }, [this] { publishTransportMetrics(); });
-  }
+  // case, 512 the per-wakeup datagram ceiling.
+  obs::Registry& registry = metricsRegistry();
+  recvBatchSize_ = &registry.histogram("epto_udp_recv_batch_size", {},
+                                       obs::Registry::exponentialBounds(1, 2, 10));
+  sendBatchSize_ = &registry.histogram("epto_udp_send_batch_size", {},
+                                       obs::Registry::exponentialBounds(1, 2, 10));
 }
 
 UdpCluster::~UdpCluster() { stop(); }
 
-std::unique_ptr<Process> UdpCluster::makeProcess(ProcessId id, std::uint32_t incarnation) {
-  Config cfg;
-  cfg.fanout = fanout_;
-  cfg.ttl = ttl_;
-  cfg.clockMode = options_.clockMode;
-  cfg.speculation.enabled = options_.speculation;
-  cfg.speculation.confidenceThreshold = options_.speculationThreshold;
-  cfg.speculation.maxWindow = options_.speculationWindow;
-  cfg.stabilityModel.systemSize = options_.nodeCount;
-  cfg.stabilityModel.fanout = fanout_;
-  cfg.stabilityModel.messageLossRate = 0.0;  // datagram loss is unobservable here
-  if (options_.clockMode == ClockMode::Global) {
-    // Global clocks here are microsecond ticks since the epoch.
-    cfg.stabilityModel.ticksPerRound =
-        static_cast<Timestamp>(options_.roundPeriod.count());
-  }
-  util::Rng samplerRng(
-      util::mix64(options_.seed + 0xC2B2AE3D27D4EB4FULL * (incarnation + 1)) ^ id);
-  auto process = std::make_unique<Process>(
-      id, cfg, std::make_shared<StaticSampler>(id, options_.nodeCount, samplerRng),
-      [this, id](const Event& event, DeliveryTag tag) {
-        const util::MutexLock lock(trackerMutex_);
-        tracker_.onDeliver(id, event.id, ticksNow(), tag);
-        ledger_.onDeliver(id, event.id);
-      },
-      [this]() { return ticksNow(); }, &latencyRecorder_);
-  process->setIncarnation(static_cast<std::uint16_t>(incarnation));
-  if (incarnation > 0) {
-    // Disjoint EventId range per incarnation (~1M broadcasts each).
-    process->startSequenceAt(incarnation << 20U);
-  }
-  return process;
-}
-
-std::unique_ptr<adapt::FeedbackController> UdpCluster::makeController(
-    ProcessId id) const {
-  if (!options_.adaptive) return nullptr;
-  adapt::ControllerConfig config;
-  config.worstCase.systemSize = options_.nodeCount;
-  config.worstCase.c = options_.c;
-  config.worstCase.logicalTime = options_.clockMode == ClockMode::Logical;
-  config.worstCase.messageLossRate = options_.adaptiveWorstCaseLoss;
-  config.initialLossRate = options_.adaptiveInitialLoss;
-  config.initialTtl = ttl_;
-  config.initialFanout = fanout_;
-  config.self = id;
-  return std::make_unique<adapt::FeedbackController>(config);
-}
-
-Timestamp UdpCluster::ticksNow() const {
-  return static_cast<Timestamp>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                    std::chrono::steady_clock::now() - epoch_)
-                                    .count());
-}
-
-void UdpCluster::start() {
-  EPTO_ENSURE_MSG(!running_.exchange(true), "cluster already started");
-  stopRequested_ = false;
-  // Fault-plan timestamps are relative to start(), not construction.
-  epoch_ = std::chrono::steady_clock::now();
-  if (executor_ != nullptr) {
-    executor_->start();
-  } else {
-    for (auto& node : nodes_) {
-      node->thread = std::thread([this, raw = node.get()] { nodeLoop(*raw); });
-    }
-  }
-  if (scrape_ != nullptr) scrape_->start();
-}
-
-void UdpCluster::broadcast(std::size_t index, PayloadPtr payload, QosClass qos) {
-  EPTO_ENSURE_MSG(index < nodes_.size(), "node index out of range");
-  NodeState& node = *nodes_[index];
-  if (!node.up.load(std::memory_order_acquire)) {
-    discardedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-    requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (executor_ != nullptr) {
-    // Mailbox protocol (DESIGN.md §16): the request crosses into the
-    // owning shard as a command; the shard appends it to the pending
-    // list between loop iterations. pendingBroadcasts stays mutex-
-    // guarded so the annotation (and the not-yet-started / already-
-    // stopped inline fallback below) remain sound.
-    ShardedExecutor::Command command(
-        [&node, payloadHeld = std::move(payload), qos]() mutable {
-          const util::MutexLock lock(node.broadcastMutex);
-          node.pendingBroadcasts.push_back(PendingBroadcast{std::move(payloadHeld), qos});
-        });
-    while (running_.load(std::memory_order_acquire)) {
-      if (executor_->post(index, std::move(command))) {
-        requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // Full mailbox: the shard drains every loop iteration, so this
-      // clears within one poll timeout.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    // No shard is consuming (cluster not started, or stopping): run the
-    // command inline — still safe, the list is mutex-guarded.
-    command();
-    requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  {
-    const util::MutexLock lock(node.broadcastMutex);
-    node.pendingBroadcasts.push_back(PendingBroadcast{std::move(payload), qos});
-  }
-  requestedBroadcasts_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool UdpCluster::nodeDown(std::size_t index) const {
-  EPTO_ENSURE_MSG(index < nodes_.size(), "node index out of range");
-  return !nodes_[index]->up.load(std::memory_order_acquire);
-}
-
-std::vector<ProcessId> UdpCluster::upNodes() const {
-  std::vector<ProcessId> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    if (node->up.load(std::memory_order_acquire)) ids.push_back(node->id);
-  }
-  return ids;
-}
-
-void UdpCluster::enterCrash(NodeState& node) {
-  const Timestamp now = ticksNow();
-  faults_->noteCrash(node.id, now);
-  if (!options_.flightDumpPath.empty()) {
-    (void)obs::FlightRecorder::global().dumpTo(
-        options_.flightDumpPath, "crash node=" + std::to_string(node.id));
-  }
-  node.process.reset();
+void UdpCluster::discardInput(Node& base) {
+  UdpNode& node = udp(base);
   node.heldBack.clear();  // delayed datagrams die with the sender
-  node.reassembler.clear();
-  node.ingress.clear();
-  node.up.store(false, std::memory_order_release);
-  std::vector<PendingBroadcast> discarded;
-  {
-    const util::MutexLock lock(node.broadcastMutex);
-    discarded.swap(node.pendingBroadcasts);
-  }
-  discardedBroadcasts_.fetch_add(discarded.size(), std::memory_order_relaxed);
-  {
-    const util::MutexLock lock(trackerMutex_);
-    tracker_.onProcessCrash(node.id, now);
-    ledger_.onCrash(node.id);
-    lifetimes_[node.id].leftAt = now;
-  }
-}
-
-void UdpCluster::leaveCrash(NodeState& node) {
-  const Timestamp now = ticksNow();
-  // Datagrams buffered by the OS while we were dead are lost state.
+  // Datagrams buffered by the OS while the node was dead are lost state.
   while (node.socket.receive(0).has_value()) {
   }
   node.reassembler.clear();
   node.ingress.clear();
-  ++node.incarnation;
-  node.process = makeProcess(node.id, node.incarnation);
-  // Fresh incarnation, fresh controller: it restarts from the static
-  // tuning and re-learns current conditions alongside the new Process.
-  node.controller = makeController(node.id);
-  node.lastBallsReceived = 0;
-  {
-    const util::MutexLock lock(trackerMutex_);
-    tracker_.onProcessRestart(node.id, now);
-    lifetimes_[node.id] = metrics::ProcessLifetime{now, std::nullopt};
-  }
-  faults_->noteRestart(node.id, now);
-  node.up.store(true, std::memory_order_release);
 }
 
-void UdpCluster::sendDatagram(NodeState& node, std::uint16_t port, bool isFragment,
-                              const std::vector<std::byte>& frame, util::Rng& rng) {
-  const SendOutcome outcome =
-      sendWithBackoff(node.socket, port, frame, options_.sendBackoff, rng);
-  if (outcome.retries > 0) {
-    sendRetries_.fetch_add(static_cast<std::uint64_t>(outcome.retries),
-                           std::memory_order_relaxed);
-  }
-  switch (outcome.status) {
-    case SendStatus::Sent:
-      if (isFragment) fragmentsSent_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SendStatus::Transient:
-      sendFailuresTransient_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SendStatus::Hard:
-      sendFailuresHard_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-}
-
-void UdpCluster::flushHeldBack(NodeState& node, util::Rng& rng) {
+void UdpCluster::flushHeldBack(UdpNode& node) {
   if (node.heldBack.empty()) return;
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = Clock::now();
   auto due = std::partition(node.heldBack.begin(), node.heldBack.end(),
                             [now](const HeldDatagram& d) { return d.due > now; });
   for (auto it = due; it != node.heldBack.end(); ++it) {
-    sendDatagram(node, it->port, it->isFragment, it->frame, rng);
+    node.outgoing.push_back(OutgoingDatagram{it->port, &it->frame, it->isFragment});
   }
+  flush(node);  // before the erase: `outgoing` points into heldBack
   node.heldBack.erase(due, node.heldBack.end());
 }
 
-void UdpCluster::enqueueBallFrame(NodeState& node, std::span<const std::byte> frame,
+void UdpCluster::enqueueBallFrame(UdpNode& node, std::span<const std::byte> frame,
                                   std::uint16_t fromPort) {
   auto decoded = codec::decodeBall(frame);
   if (!decoded.ok()) {
@@ -383,7 +137,7 @@ void UdpCluster::enqueueBallFrame(NodeState& node, std::span<const std::byte> fr
   node.ingress.push(std::move(decoded.ball));
 }
 
-void UdpCluster::ingestDatagram(NodeState& node, const UdpSocket::Datagram& datagram) {
+void UdpCluster::ingestDatagram(UdpNode& node, const UdpSocket::Datagram& datagram) {
   if (datagram.truncated) {
     // The kernel cut the payload: the datagram exceeded the receive
     // buffer (i.e. the configured MTU). Counted here, not discovered as
@@ -407,7 +161,7 @@ void UdpCluster::ingestDatagram(NodeState& node, const UdpSocket::Datagram& data
   enqueueBallFrame(node, datagram.bytes, datagram.fromPort);
 }
 
-void UdpCluster::publishNodeCounters(NodeState& node) {
+void UdpCluster::publishNodeCounters(UdpNode& node) {
   const ReassemblyStats& stats = node.reassembler.stats();
   if (stats.partialsExpired > node.publishedReassembly.partialsExpired) {
     reassemblyExpired_.fetch_add(
@@ -479,225 +233,208 @@ core::IngressStats UdpCluster::ingressGuardStats() const noexcept {
   return stats;
 }
 
+void UdpCluster::publishSubstrateMetrics() {
+  obs::Registry& registry = metricsRegistry();
+  registry.counter("epto_udp_frames_rejected_total")
+      .set(framesRejected_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_truncated_total")
+      .set(truncatedDatagrams_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_send_failures_total", {{"cause", "transient"}})
+      .set(sendFailuresTransient_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_send_failures_total", {{"cause", "hard"}})
+      .set(sendFailuresHard_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_send_retries_total")
+      .set(sendRetries_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_balls_fragmented_total")
+      .set(ballsFragmented_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_fragments_sent_total")
+      .set(fragmentsSent_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_fragments_received_total")
+      .set(fragmentsReceived_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_balls_reassembled_total")
+      .set(ballsReassembled_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_reassembly_expired_total")
+      .set(reassemblyExpired_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_reassembly_shed_total")
+      .set(reassemblyShed_.load(std::memory_order_relaxed));
+  registry.counter("epto_udp_ingress_shed_total")
+      .set(ingressShed_.load(std::memory_order_relaxed));
+  registry.gauge("epto_udp_ingress_high_water")
+      .set(static_cast<std::int64_t>(ingressHighWater_.load(std::memory_order_relaxed)));
+  registry.counter("epto_udp_watchdog_recoveries_total")
+      .set(watchdogRecoveries_.load(std::memory_order_relaxed));
+  if (options_.hardenIngress) {
+    core::recordIngressStats(ingressGuardStats(), registry);
+  }
+}
+
+
 std::uint16_t UdpCluster::nodePort(std::size_t index) const {
   EPTO_ENSURE_MSG(index < ports_.size(), "node index out of range");
   return ports_[index];
 }
 
-void UdpCluster::publishTransportMetrics() {
-  registry_.counter("epto_udp_frames_rejected_total")
-      .set(framesRejected_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_truncated_total")
-      .set(truncatedDatagrams_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_send_failures_total", {{"cause", "transient"}})
-      .set(sendFailuresTransient_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_send_failures_total", {{"cause", "hard"}})
-      .set(sendFailuresHard_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_send_retries_total")
-      .set(sendRetries_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_balls_fragmented_total")
-      .set(ballsFragmented_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_fragments_sent_total")
-      .set(fragmentsSent_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_fragments_received_total")
-      .set(fragmentsReceived_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_balls_reassembled_total")
-      .set(ballsReassembled_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_reassembly_expired_total")
-      .set(reassemblyExpired_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_reassembly_shed_total")
-      .set(reassemblyShed_.load(std::memory_order_relaxed));
-  registry_.counter("epto_udp_ingress_shed_total")
-      .set(ingressShed_.load(std::memory_order_relaxed));
-  registry_.gauge("epto_udp_ingress_high_water")
-      .set(static_cast<std::int64_t>(ingressHighWater_.load(std::memory_order_relaxed)));
-  registry_.counter("epto_udp_watchdog_recoveries_total")
-      .set(watchdogRecoveries_.load(std::memory_order_relaxed));
-  if (options_.hardenIngress) {
-    core::recordIngressStats(ingressGuardStats(), registry_);
-  }
-  registry_.counter("epto_trace_dropped_total").set(obs::Tracer::global().dropped());
-  registry_.counter("epto_flight_dropped_total")
-      .set(obs::FlightRecorder::global().dropped());
-  if (executor_ != nullptr) {
-    for (std::size_t shard = 0; shard < executor_->shardCount(); ++shard) {
-      registry_.gauge("epto_shard_queue_depth", {{"shard", std::to_string(shard)}})
-          .set(static_cast<std::int64_t>(executor_->mailboxDepth(shard)));
-    }
-    registry_.counter("epto_shard_post_rejections_total")
-        .set(executor_->postRejections());
+void UdpCluster::drainIngress(UdpNode& node) {
+  for (std::size_t budget = options_.ingressDrainBudget; budget > 0; --budget) {
+    auto ball = node.ingress.pop();
+    if (!ball.has_value()) break;
+    node.process->onBall(*ball);
   }
 }
 
-std::size_t UdpCluster::dumpFlightRecorder(const std::string& path,
-                                           const std::string& reason) {
-  return obs::FlightRecorder::global().dumpTo(path, reason);
+void UdpCluster::ingest(Node& node) {
+  // Hand a bounded batch to the protocol; the rest stays queued (and is
+  // shed oldest-first by the ingress bound if the backlog wins).
+  drainIngress(udp(node));
 }
 
-std::chrono::microseconds UdpCluster::jitteredPeriod(util::Rng& rng) const {
-  const double factor = 1.0 + options_.roundJitter * (2.0 * rng.uniform01() - 1.0);
-  return std::chrono::microseconds(static_cast<std::int64_t>(
-      std::max(1.0, static_cast<double>(options_.roundPeriod.count()) * factor)));
+void UdpCluster::batchIngest(UdpNode& node) {
+  thread_local std::vector<UdpSocket::Datagram> scratch;
+  std::size_t polled = 0;
+  while (polled < kMaxDatagramsPerPoll) {
+    scratch.clear();
+    const std::size_t want = std::min(kRecvBatch, kMaxDatagramsPerPoll - polled);
+    const std::size_t got = node.socket.receiveBatch(scratch, want, /*timeoutMillis=*/0);
+    if (got == 0) break;
+    recvBatchSize_->observe(static_cast<double>(got));
+    // Drain interleaves per datagram, not per chunk. One shard wakeup
+    // covers MANY senders' flushes at once (a recvmmsg chunk can hold a
+    // whole cluster round), so a flat per-wakeup budget would both drain
+    // too slowly and overflow the ingress bound mid-push — and because
+    // one thread drives every owned node on one schedule, the overflow
+    // pattern is IDENTICAL at every peer: the oldest-first shed cuts the
+    // same sender's ball everywhere, correlated first-hop loss that
+    // EpTO's relay redundancy cannot repair (an origin sends its ball
+    // exactly once). Interleaving a budget after each datagram keeps the
+    // queue from overflowing on chunky arrivals and bounds the
+    // per-wakeup work by kMaxDatagramsPerPoll * (decode +
+    // ingressDrainBudget).
+    for (const auto& datagram : scratch) {
+      ingestDatagram(node, datagram);
+      drainIngress(node);
+    }
+    polled += got;
+    if (got < want) break;  // socket drained
+  }
 }
 
-/// ThreadPerNode sink: one sendto() per datagram, exactly the PR 3 path.
-/// A fragmented fanout is a long send burst (hundreds of syscalls); a
-/// loop that ignores its socket that whole time lets concurrent bursts
-/// from peers overflow the kernel receive buffer and lose fragments
-/// every round. Interleave bounded drains so sending never starves
-/// receiving.
-class UdpCluster::ImmediateSink final : public UdpCluster::DatagramSink {
- public:
-  explicit ImmediateSink(UdpCluster& cluster) : cluster_(cluster) {}
+void UdpCluster::awaitInput(ShardedExecutor::ShardContext& ctx,
+                            Clock::time_point deadline) {
+  thread_local std::vector<pollfd> pollSet;
+  thread_local std::vector<UdpNode*> pollNode;  // pollSet slot -> node
+  pollSet.clear();
+  pollNode.clear();
+  for (std::size_t i = ctx.nodeBegin(); i < ctx.nodeEnd(); ++i) {
+    UdpNode& node = udp(this->node(i));
+    if (!node.up.load(std::memory_order_relaxed) || node.stallNoted) continue;
+    if (faults() != nullptr) flushHeldBack(node);
+    pollfd pfd{};
+    pfd.fd = node.socket.nativeHandle();
+    pfd.events = POLLIN;
+    pollSet.push_back(pfd);
+    pollNode.push_back(&node);
+  }
+  if (pollSet.empty()) {
+    NodeHost::awaitInput(ctx, deadline);
+    return;
+  }
+  // Block until the shard's next round is due (or a datagram arrives):
+  // ppoll takes the remainder at nanosecond resolution, where a
+  // millisecond poll() timeout would truncate a sub-millisecond
+  // remainder to 0 and spin.
+  const auto remaining = std::max(Clock::duration::zero(), deadline - Clock::now());
+  const auto seconds = std::chrono::duration_cast<std::chrono::seconds>(remaining);
+  const timespec timeout{
+      static_cast<std::time_t>(seconds.count()),
+      static_cast<long>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(remaining - seconds).count())};
+  if (::ppoll(pollSet.data(), pollSet.size(), &timeout, nullptr) <= 0) return;
+  for (std::size_t slot = 0; slot < pollSet.size(); ++slot) {
+    if ((pollSet[slot].revents & POLLIN) != 0) batchIngest(*pollNode[slot]);
+  }
+}
 
-  void send(NodeState& node, std::uint16_t port, bool isFragment,
-            const std::vector<std::byte>& frame, util::Rng& rng) override {
-    cluster_.sendDatagram(node, port, isFragment, frame, rng);
-    if (++sentSinceDrain_ < 32) return;
-    sentSinceDrain_ = 0;
-    for (std::size_t budget = 64; budget > 0; --budget) {
-      auto datagram = node.socket.receive(0);
-      if (!datagram.has_value()) break;
-      cluster_.ingestDatagram(node, *datagram);
+void UdpCluster::send(Node& base, const Process::RoundOutput& out, Timestamp now) {
+  UdpNode& node = udp(base);
+  if (out.ball == nullptr) {
+    flush(node);
+    return;
+  }
+  const auto frame =
+      codec::encodeBall(*out.ball, codec::EncodeOptions{.lineage = true, .qos = true});
+  const std::uint64_t ballId =
+      (static_cast<std::uint64_t>(node.id) << 32) | ++node.fragmentSeq;
+  const auto datagrams = codec::fragmentFrame(frame, options_.mtuBytes, ballId);
+  const bool fragmented = datagrams.size() > 1;
+  if (fragmented) ballsFragmented_.fetch_add(1, std::memory_order_relaxed);
+  fault::FaultController* const faults = this->faults();
+  for (const ProcessId target : out.targets) {
+    fault::FaultController::LinkFate fate;
+    if (faults != nullptr) {
+      fate = faults->linkFate(node.id, target, now);
+      if (fate.cut) {
+        faults->noteLinkDrop(node.id, target, now, fate.cutBy);
+        continue;
+      }
+      if (fate.extraDelay > 0) faults->noteDelayed(node.id, target, now);
+    }
+    for (const auto& datagram : datagrams) {
+      // Burst loss rolls per datagram — fragment granularity: one lost
+      // fragment costs one ball copy, not the whole fanout.
+      if (fate.extraLossRate > 0.0 && node.rng.chance(fate.extraLossRate)) {
+        if (fragmented) {
+          faults->noteFragmentDrop(node.id, target, now);
+        } else {
+          faults->noteLinkDrop(node.id, target, now, fault::FaultKind::BurstLoss);
+        }
+        continue;
+      }
+      if (fate.extraDelay > 0) {
+        node.heldBack.push_back(HeldDatagram{timeAt(now + fate.extraDelay), ports_[target],
+                                             fragmented, datagram});
+        continue;
+      }
+      node.outgoing.push_back(OutgoingDatagram{ports_[target], &datagram, fragmented});
+      if (node.outgoing.size() >= kSendBatch) flush(node);
     }
   }
+  // Flush while `datagrams` is still alive — `outgoing` holds non-owning
+  // frame pointers into it.
+  flush(node);
+}
 
-  void flush(NodeState& /*node*/, util::Rng& /*rng*/) override { sentSinceDrain_ = 0; }
-
- private:
-  UdpCluster& cluster_;
-  std::size_t sentSinceDrain_ = 0;
-};
-
-/// Sharded sink: aggregate the round's datagrams and flush them through
-/// one (or a few) sendmmsg() syscalls on the node's socket. The PR 3
-/// send/receive interleave invariant carries over at flush granularity:
-/// every flush is followed by a bounded recvmmsg drain, so a jumbo
-/// fanout still cannot starve ingress.
-class UdpCluster::BatchSink final : public UdpCluster::DatagramSink {
- public:
-  BatchSink(UdpCluster& cluster, std::size_t flushThreshold)
-      : cluster_(cluster), flushThreshold_(flushThreshold) {}
-
-  void send(NodeState& node, std::uint16_t port, bool isFragment,
-            const std::vector<std::byte>& frame, util::Rng& rng) override {
-    pending_.push_back(OutgoingDatagram{port, &frame, isFragment});
-    if (pending_.size() >= flushThreshold_) flush(node, rng);
+void UdpCluster::flush(UdpNode& node) {
+  if (node.outgoing.empty()) return;
+  sendBatchSize_->observe(static_cast<double>(node.outgoing.size()));
+  const BatchSendOutcome outcome =
+      sendBatchWithBackoff(node.socket, node.outgoing, options_.sendBackoff, node.rng);
+  node.outgoing.clear();
+  if (outcome.retries > 0) {
+    sendRetries_.fetch_add(static_cast<std::uint64_t>(outcome.retries),
+                           std::memory_order_relaxed);
   }
-
-  void flush(NodeState& node, util::Rng& rng) override {
-    if (pending_.empty()) return;
-    cluster_.sendBatchSize_->observe(static_cast<double>(pending_.size()));
-    const BatchSendOutcome outcome =
-        sendBatchWithBackoff(node.socket, pending_, cluster_.options_.sendBackoff, rng);
-    pending_.clear();
-    if (outcome.retries > 0) {
-      cluster_.sendRetries_.fetch_add(static_cast<std::uint64_t>(outcome.retries),
-                                      std::memory_order_relaxed);
-    }
-    if (outcome.fragmentsSent > 0) {
-      cluster_.fragmentsSent_.fetch_add(outcome.fragmentsSent,
-                                        std::memory_order_relaxed);
-    }
-    if (outcome.transientLost > 0) {
-      cluster_.sendFailuresTransient_.fetch_add(outcome.transientLost,
-                                                std::memory_order_relaxed);
-    }
-    if (outcome.hardLost > 0) {
-      cluster_.sendFailuresHard_.fetch_add(outcome.hardLost, std::memory_order_relaxed);
-    }
-    // PR 3 invariant: a send burst never starves receiving. Bounded,
-    // drain-interleaved ingest (same path as the poll loop, so a chunky
-    // backlog cannot overflow the ingress bound mid-push).
-    cluster_.batchIngest(node, drainScratch_);
+  if (outcome.fragmentsSent > 0) {
+    fragmentsSent_.fetch_add(outcome.fragmentsSent, std::memory_order_relaxed);
   }
+  if (outcome.transientLost > 0) {
+    sendFailuresTransient_.fetch_add(outcome.transientLost, std::memory_order_relaxed);
+  }
+  if (outcome.hardLost > 0) {
+    sendFailuresHard_.fetch_add(outcome.hardLost, std::memory_order_relaxed);
+  }
+  // A send burst never starves receiving: a fragmented fanout is
+  // hundreds of datagrams, and a node ignoring its socket that long lets
+  // concurrent bursts from peers overflow the kernel receive buffer.
+  // Bounded, drain-interleaved ingest (the same path as the poll loop,
+  // so a chunky backlog cannot overflow the ingress bound mid-push).
+  batchIngest(node);
+}
 
- private:
-  UdpCluster& cluster_;
-  std::size_t flushThreshold_;
-  std::vector<OutgoingDatagram> pending_;
-  std::vector<UdpSocket::Datagram> drainScratch_;
-};
-
-bool UdpCluster::runNodeRound(NodeState& node, util::Rng& rng,
-                              std::chrono::steady_clock::duration lateness,
-                              DatagramSink& sink) {
-  using Clock = std::chrono::steady_clock;
+bool UdpCluster::finishRound(Node& base, Clock::duration lateness) {
+  UdpNode& node = udp(base);
   ++node.roundCounter;
   node.reassembler.evictExpired(node.roundCounter);
   if (node.guard != nullptr) node.guard->onRound();
-
-  std::vector<PendingBroadcast> pending;
-  {
-    const util::MutexLock lock(node.broadcastMutex);
-    pending.swap(node.pendingBroadcasts);
-  }
-  for (PendingBroadcast& request : pending) {
-    const Event event = node.process->broadcast(std::move(request.payload), request.qos);
-    const std::vector<ProcessId> expected = upNodes();
-    const util::MutexLock lock(trackerMutex_);
-    tracker_.onBroadcast(node.id, event.id, event.orderKey(), ticksNow());
-    ledger_.onBroadcast(event.id, expected);
-  }
-
-  const auto out = node.process->onRound();
-  if (out.ball != nullptr) {
-    const auto frame = codec::encodeBall(
-        *out.ball, codec::EncodeOptions{.lineage = options_.wireLineage,
-                                        .qos = options_.wireQos});
-    const std::uint64_t ballId =
-        (static_cast<std::uint64_t>(node.id) << 32) | ++node.fragmentSeq;
-    const auto datagrams = codec::fragmentFrame(frame, options_.mtuBytes, ballId);
-    const bool fragmented = datagrams.size() > 1;
-    if (fragmented) ballsFragmented_.fetch_add(1, std::memory_order_relaxed);
-    const Timestamp tnow = ticksNow();
-    for (const ProcessId target : out.targets) {
-      fault::FaultController::LinkFate fate;
-      if (faults_ != nullptr) {
-        fate = faults_->linkFate(node.id, target, tnow);
-        if (fate.cut) {
-          faults_->noteLinkDrop(node.id, target, tnow, fate.cutBy);
-          continue;
-        }
-        if (fate.extraDelay > 0) faults_->noteDelayed(node.id, target, tnow);
-      }
-      for (const auto& datagram : datagrams) {
-        // Burst loss rolls per datagram — fragment granularity: one
-        // lost fragment costs one ball copy, not the whole fanout.
-        if (fate.extraLossRate > 0.0 && rng.chance(fate.extraLossRate)) {
-          if (fragmented) {
-            faults_->noteFragmentDrop(node.id, target, tnow);
-          } else {
-            faults_->noteLinkDrop(node.id, target, tnow, fault::FaultKind::BurstLoss);
-          }
-          continue;
-        }
-        if (fate.extraDelay > 0) {
-          node.heldBack.push_back(HeldDatagram{
-              Clock::now() + std::chrono::microseconds(
-                                 static_cast<std::int64_t>(fate.extraDelay)),
-              ports_[target], fragmented, datagram});
-          continue;
-        }
-        sink.send(node, ports_[target], fragmented, datagram, rng);
-      }
-    }
-    // Flush while `datagrams` is still alive — the batch sink holds
-    // non-owning frame pointers into it.
-    sink.flush(node, rng);
-  } else {
-    sink.flush(node, rng);
-  }
-  if (node.controller != nullptr) {
-    // Close the feedback loop on this node's own observations.
-    const std::uint64_t ballsReceived = node.process->disseminationStats().ballsReceived;
-    adapt::RoundSignals signals;
-    signals.ballsReceived = static_cast<double>(ballsReceived - node.lastBallsReceived);
-    node.lastBallsReceived = ballsReceived;
-    const adapt::Decision decision = node.controller->onRound(signals);
-    if (decision.changed) node.process->retune(decision.ttl, decision.fanout);
-  }
-  node.process->metricsSnapshot().recordTo(registry_);
   publishNodeCounters(node);
 
   // Watchdog: a round more than a full period late, `watchdogMissedRounds`
@@ -708,314 +445,25 @@ bool UdpCluster::runNodeRound(NodeState& node, util::Rng& rng,
   // deliberately left alone: they are already bounded by their own
   // TTL/capacity, and purging them here would reset in-progress jumbo
   // balls every recovery, turning an overload into event loss.
-  if (node.watchdog.onRoundBoundary(lateness, options_.roundPeriod)) {
-    // The flight recorder exists for this moment: capture the protocol
-    // decisions leading into the stall before the recovery mutates
-    // anything further.
-    if (!options_.flightDumpPath.empty()) {
-      (void)obs::FlightRecorder::global().dumpTo(
-          options_.flightDumpPath, "stall_watchdog node=" + std::to_string(node.id));
-    }
-    while (auto ball = node.ingress.pop()) node.process->onBall(*ball);
-    publishNodeCounters(node);
-    return true;
+  if (!node.watchdog.onRoundBoundary(lateness, options_.roundPeriod)) return false;
+  // The flight recorder exists for this moment: capture the protocol
+  // decisions leading into the stall before the recovery mutates
+  // anything further.
+  if (!options_.flightDumpPath.empty()) {
+    (void)obs::FlightRecorder::global().dumpTo(
+        options_.flightDumpPath, "stall_watchdog node=" + std::to_string(node.id));
   }
-  return false;
-}
-
-void UdpCluster::nodeLoop(NodeState& node) {
-  using Clock = std::chrono::steady_clock;
-  node.rng = util::Rng(util::mix64(options_.seed ^ 0xDA7A6A4Dull) ^ node.id);
-  node.stallNoted = false;
-  node.nextRound = Clock::now() + jitteredPeriod(node.rng);
-  ImmediateSink sink(*this);
-  while (!stopRequested_.load(std::memory_order_relaxed)) {
-    if (faults_ != nullptr) {
-      const Timestamp tnow = ticksNow();
-      if (faults_->isCrashed(node.id, tnow)) {
-        if (node.up.load(std::memory_order_relaxed)) enterCrash(node);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      if (!node.up.load(std::memory_order_relaxed)) {
-        leaveCrash(node);
-        node.nextRound = Clock::now() + jitteredPeriod(node.rng);
-      }
-      if (faults_->isStalled(node.id, tnow)) {
-        // GC-pause model: no receives, no rounds; the OS buffers traffic
-        // and the node catches up afterwards.
-        if (!node.stallNoted) {
-          node.stallNoted = true;
-          faults_->noteStall(node.id, tnow);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        node.nextRound = Clock::now() + jitteredPeriod(node.rng);
-        continue;
-      }
-      node.stallNoted = false;
-      flushHeldBack(node, node.rng);
-    }
-
-    // Receive until the round boundary; poll() granularity is 1ms, so
-    // short remainders degrade to a non-blocking check. After the first
-    // (possibly blocking) datagram, drain whatever else the kernel has
-    // queued — bounded so a flood cannot hold the loop past its round.
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        node.nextRound - Clock::now());
-    const int timeout = static_cast<int>(std::clamp<long>(remaining.count(), 0, 50));
-    std::size_t polled = 0;
-    for (auto datagram = node.socket.receive(timeout); datagram.has_value();
-         datagram = node.socket.receive(0)) {
-      ingestDatagram(node, *datagram);
-      if (++polled >= options_.maxDatagramsPerPoll) break;
-    }
-
-    // Hand a bounded batch to the protocol; the rest stays queued (and
-    // is shed oldest-first by the ingress bound if the backlog wins).
-    for (std::size_t budget = options_.ingressDrainBudget; budget > 0; --budget) {
-      auto ball = node.ingress.pop();
-      if (!ball.has_value()) break;
-      node.process->onBall(*ball);
-    }
-
-    const auto boundaryNow = Clock::now();
-    if (boundaryNow < node.nextRound) continue;
-    const auto lateness = boundaryNow - node.nextRound;
-    const bool recovered = runNodeRound(node, node.rng, lateness, sink);
-    node.nextRound = recovered ? Clock::now() + jitteredPeriod(node.rng)
-                               : node.nextRound + jitteredPeriod(node.rng);
-  }
-  // Sheds/evictions from the final partial round still reach the
-  // cluster counters.
+  while (auto ball = node.ingress.pop()) node.process->onBall(*ball);
   publishNodeCounters(node);
+  return true;
 }
 
-void UdpCluster::batchIngest(NodeState& node, std::vector<UdpSocket::Datagram>& scratch) {
-  std::size_t polled = 0;
-  while (polled < options_.maxDatagramsPerPoll) {
-    scratch.clear();
-    const std::size_t want =
-        std::min(options_.recvBatch, options_.maxDatagramsPerPoll - polled);
-    const std::size_t got = node.socket.receiveBatch(scratch, want, /*timeoutMillis=*/0);
-    if (got == 0) break;
-    recvBatchSize_->observe(static_cast<double>(got));
-    // Drain interleaves per datagram, not per chunk. In thread mode
-    // every arrival burst is its own poll wakeup and earns a full
-    // ingressDrainBudget; one shard wakeup covers MANY senders' flushes
-    // at once (a recvmmsg chunk can hold a whole cluster round), so a
-    // flat per-wakeup budget would both drain too slowly and overflow
-    // the ingress bound mid-push — and because one thread drives every
-    // owned node on one schedule, the overflow pattern is IDENTICAL at
-    // every peer: the oldest-first shed cuts the same sender's ball
-    // everywhere, correlated first-hop loss that EpTO's relay
-    // redundancy cannot repair (an origin sends its ball exactly once).
-    // Interleaving a budget after each datagram restores the
-    // thread-mode cadence, keeps the queue from overflowing on chunky
-    // arrivals, and bounds the per-wakeup work by
-    // maxDatagramsPerPoll * (decode + ingressDrainBudget).
-    for (const auto& datagram : scratch) {
-      ingestDatagram(node, datagram);
-      for (std::size_t budget = options_.ingressDrainBudget; budget > 0; --budget) {
-        auto ball = node.ingress.pop();
-        if (!ball.has_value()) break;
-        node.process->onBall(*ball);
-      }
-    }
-    polled += got;
-    if (got < want) break;  // socket drained
-  }
-}
-
-void UdpCluster::serviceDueNode(std::size_t index, ShardedExecutor::ShardContext& ctx,
-                                DatagramSink& sink) {
-  using Clock = std::chrono::steady_clock;
-  NodeState& node = *nodes_[index];
-  const auto reschedule = [&](Clock::time_point at) {
-    node.nextRound = at;
-    ctx.wheel().schedule(static_cast<std::uint32_t>(index), at);
-  };
-  if (faults_ != nullptr) {
-    const Timestamp tnow = ticksNow();
-    if (faults_->isCrashed(node.id, tnow)) {
-      if (node.up.load(std::memory_order_relaxed)) enterCrash(node);
-      // Re-check at the thread loop's crash-poll cadence.
-      reschedule(Clock::now() + std::chrono::milliseconds(1));
-      return;
-    }
-    if (!node.up.load(std::memory_order_relaxed)) {
-      leaveCrash(node);
-      reschedule(Clock::now() + jitteredPeriod(node.rng));
-      return;
-    }
-    if (faults_->isStalled(node.id, tnow)) {
-      // GC-pause model: no receives (the poll set skips the node), no
-      // rounds; the OS buffers traffic for the catch-up afterwards.
-      if (!node.stallNoted) {
-        node.stallNoted = true;
-        faults_->noteStall(node.id, tnow);
-      }
-      reschedule(Clock::now() + std::chrono::milliseconds(1));
-      return;
-    }
-    if (node.stallNoted) {
-      // Stall just ended: mirror the thread loop, which re-anchors one
-      // period out before running its next round.
-      node.stallNoted = false;
-      reschedule(Clock::now() + jitteredPeriod(node.rng));
-      return;
-    }
-  }
-  const auto lateness = Clock::now() - node.nextRound;
-  const bool recovered = runNodeRound(node, node.rng, lateness, sink);
-  reschedule(recovered ? Clock::now() + jitteredPeriod(node.rng)
-                       : node.nextRound + jitteredPeriod(node.rng));
-}
-
-void UdpCluster::shardLoop(ShardedExecutor::ShardContext& ctx) {
-  using Clock = std::chrono::steady_clock;
-  const std::size_t begin = ctx.nodeBegin();
-  const std::size_t end = ctx.nodeEnd();
-  for (std::size_t i = begin; i < end; ++i) {
-    NodeState& node = *nodes_[i];
-    node.rng = util::Rng(util::mix64(options_.seed ^ 0xDA7A6A4Dull) ^ node.id);
-    node.stallNoted = false;
-    // Phase-stagger first rounds across the cluster (node i at phase
-    // i/n of a period). Thread mode gets this desynchronization for
-    // free from OS preemption; a shared wheel does not, and perfectly
-    // synchronized rounds make every node's send burst land in every
-    // ingress queue at once — under a tight ingress bound the oldest-
-    // first shed then cuts the SAME sender's ball everywhere, which is
-    // exactly the correlated loss EpTO's redundancy cannot absorb.
-    const auto phase = options_.roundPeriod * i / nodes_.size();
-    node.nextRound = Clock::now() + jitteredPeriod(node.rng) + phase;
-    ctx.wheel().schedule(static_cast<std::uint32_t>(i), node.nextRound);
-  }
-
-  BatchSink sink(*this, options_.sendBatch);
-  std::vector<UdpSocket::Datagram> scratch;
-  std::vector<std::uint32_t> due;
-  std::vector<pollfd> pollSet;
-  std::vector<std::size_t> pollNode;  // pollSet slot -> node index
-
-  while (!stopRequested_.load(std::memory_order_relaxed)) {
-    // Control plane first: commands observe node state quiesced between
-    // iterations, never mid-round.
-    ctx.drainMailbox();
-
-    if (faults_ != nullptr) {
-      for (std::size_t i = begin; i < end; ++i) {
-        NodeState& node = *nodes_[i];
-        if (node.up.load(std::memory_order_relaxed) && !node.stallNoted) {
-          flushHeldBack(node, node.rng);
-        }
-      }
-    }
-
-    // One poll() across every live owned socket, blocking until the
-    // wheel's earliest deadline (the sharded analogue of the per-node
-    // receive-until-boundary loop).
-    pollSet.clear();
-    pollNode.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      NodeState& node = *nodes_[i];
-      if (!node.up.load(std::memory_order_relaxed) || node.stallNoted) continue;
-      pollfd pfd{};
-      pfd.fd = node.socket.nativeHandle();
-      pfd.events = POLLIN;
-      pollSet.push_back(pfd);
-      pollNode.push_back(i);
-    }
-    int timeout = 1;
-    if (const auto dueAt = ctx.wheel().nextDue()) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(*dueAt - Clock::now());
-      timeout = static_cast<int>(std::clamp<long>(remaining.count(), 0, 50));
-    }
-    if (pollSet.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(std::max(timeout, 1)));
-    } else {
-      const int ready = ::poll(pollSet.data(), pollSet.size(), timeout);
-      if (ready > 0) {
-        for (std::size_t slot = 0; slot < pollSet.size(); ++slot) {
-          if ((pollSet[slot].revents & POLLIN) != 0) {
-            batchIngest(*nodes_[pollNode[slot]], scratch);
-          }
-        }
-      }
-    }
-
-    // Hand each node a bounded batch of decoded balls; the rest stays
-    // queued behind the ingress bound, exactly as in thread mode.
-    for (std::size_t i = begin; i < end; ++i) {
-      NodeState& node = *nodes_[i];
-      if (!node.up.load(std::memory_order_relaxed) || node.stallNoted) continue;
-      for (std::size_t budget = options_.ingressDrainBudget; budget > 0; --budget) {
-        auto ball = node.ingress.pop();
-        if (!ball.has_value()) break;
-        node.process->onBall(*ball);
-      }
-    }
-
-    due.clear();
-    ctx.wheel().expire(Clock::now(), due);
-    for (const std::uint32_t index : due) serviceDueNode(index, ctx, sink);
-  }
+void UdpCluster::finishShard(ShardedExecutor::ShardContext& ctx) {
   // Sheds/evictions from the final partial rounds still reach the
   // cluster counters.
-  for (std::size_t i = begin; i < end; ++i) publishNodeCounters(*nodes_[i]);
-}
-
-bool UdpCluster::awaitQuiescence(std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    {
-      const util::MutexLock lock(trackerMutex_);
-      const bool allInjected =
-          tracker_.broadcastCount() + discardedBroadcasts_.load(std::memory_order_relaxed) >=
-          requestedBroadcasts_.load(std::memory_order_relaxed);
-      if (allInjected && ledger_.quiescent()) {
-        quiescenceReport_.clear();
-        return true;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        quiescenceReport_ = allInjected
-                                ? ledger_.missingReport()
-                                : "broadcast requests still queued at node threads; " +
-                                      ledger_.missingReport();
-        return false;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  for (std::size_t i = ctx.nodeBegin(); i < ctx.nodeEnd(); ++i) {
+    publishNodeCounters(udp(node(i)));
   }
-}
-
-std::string UdpCluster::lastQuiescenceReport() const {
-  const util::MutexLock lock(trackerMutex_);
-  return quiescenceReport_;
-}
-
-void UdpCluster::stop() {
-  if (!running_.exchange(false)) return;
-  stopRequested_ = true;
-  if (executor_ != nullptr) {
-    executor_->stop();
-  } else {
-    for (auto& node : nodes_) {
-      if (node->thread.joinable()) node->thread.join();
-    }
-  }
-  if (scrape_ != nullptr) scrape_->stop();
-}
-
-std::string UdpCluster::prometheusSnapshot() {
-  publishTransportMetrics();
-  if (faults_ != nullptr) faults_->recordTo(registry_);
-  return obs::prometheusText(registry_.snapshot());
-}
-
-metrics::TrackerReport UdpCluster::report() const {
-  const util::MutexLock lock(trackerMutex_);
-  return tracker_.finalize(lifetimes_, ticksNow());
 }
 
 }  // namespace epto::runtime

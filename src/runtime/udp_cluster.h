@@ -1,11 +1,14 @@
 // UdpCluster — EpTO over real UDP sockets on loopback (paper §8.5).
 //
 // The strongest "real system" configuration in this repository: every
-// node owns a UDP socket and a thread; balls are serialized through the
-// wire codec into datagrams; nothing but the OS network stack sits
-// between processes. The node loop is single-threaded per node (receive
-// with a deadline, then run the round), so the sans-io core again needs
-// no locks.
+// node owns a UDP socket; balls are serialized through the wire codec
+// into datagrams; nothing but the OS network stack sits between
+// processes. UdpCluster is the UDP substrate driver of NodeHost
+// (runtime/node_host.h): the host's shards run the rounds, and this
+// driver supplies ingest (recvmmsg -> reassembly -> decode -> guard ->
+// ingress queue -> protocol) and send (encode -> fragment -> link fate
+// -> sendmmsg). Each shard blocks in one ppoll() over its owned sockets
+// until its next round is due, so the sans-io core still needs no locks.
 //
 // Overload hardening (DESIGN.md §10): balls larger than the MTU are
 // fragmented (codec/fragment_codec.h) and reassembled per node with
@@ -26,69 +29,25 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
-#include <string>
-
-#include <unordered_map>
-
-#include "adapt/controller.h"
 #include "core/ingress_guard.h"
-#include "core/process.h"
-#include "fault/fault_controller.h"
-#include "fault/fault_plan.h"
-#include "metrics/delivery_tracker.h"
-#include "metrics/quiescence.h"
-#include "obs/latency.h"
-#include "obs/registry.h"
-#include "obs/scrape.h"
 #include "runtime/ingress_queue.h"
+#include "runtime/node_host.h"
 #include "runtime/reassembly.h"
-#include "runtime/sharded_executor.h"
 #include "runtime/stall_watchdog.h"
 #include "runtime/udp_transport.h"
-#include "util/mutex.h"
-#include "util/rng.h"
-#include "util/thread_annotations.h"
 
 namespace epto::runtime {
 
-/// How the cluster maps nodes onto OS threads.
-enum class ExecutorMode : std::uint8_t {
-  /// PR 3 model: one thread + one blocking receive loop per node, one
-  /// syscall per datagram. Kept as the differential baseline —
-  /// BM_RuntimeThroughput measures the sharded mode against it.
-  ThreadPerNode,
-  /// DESIGN.md §16 model: a fixed ShardedExecutor pool, each shard
-  /// driving a contiguous slice of nodes off a timer wheel with
-  /// recvmmsg/sendmmsg batched I/O. The default.
-  Sharded,
-};
-
-struct UdpClusterOptions {
-  std::size_t nodeCount = 6;
-  std::chrono::microseconds roundPeriod{4000};
-  double roundJitter = 0.05;
-  ClockMode clockMode = ClockMode::Logical;
-  double c = 2.0;
-  std::optional<std::size_t> fanoutOverride;
-  std::optional<std::uint32_t> ttlOverride;
-  /// Scheduled fault injection; same schedule format and semantics as
-  /// RuntimeOptions::faultPlan (timestamps in microseconds since
-  /// start()). Crashed nodes stop receiving and sending; their socket
-  /// stays bound, and the backlog is discarded when they rejoin with
-  /// fresh state. Delay spikes are enforced by holding outgoing
-  /// datagrams back at the sender. Burst-loss trials roll per datagram,
-  /// i.e. at fragment granularity for fragmented balls. Must outlive
-  /// the cluster.
-  const fault::FaultPlan* faultPlan = nullptr;
-  std::uint64_t seed = 42;
-  /// Background metrics scrape; same semantics as RuntimeOptions.
-  std::chrono::milliseconds scrapeInterval{0};
-  std::string metricsOutPath;
+struct UdpClusterOptions : NodeOptions {
+  // Fault plans (NodeOptions::faultPlan) over UDP: crashed nodes stop
+  // receiving and sending; their socket stays bound, and the backlog is
+  // discarded when they rejoin with fresh state. Delay spikes are
+  // enforced by holding outgoing datagrams back at the sender. Burst-loss
+  // trials roll per datagram, i.e. at fragment granularity for
+  // fragmented balls.
 
   // --- transport hardening (all validated at construction) -------------
   /// Largest datagram the cluster emits; ball frames beyond it are
@@ -101,10 +60,6 @@ struct UdpClusterOptions {
   /// Balls handed to the protocol per loop iteration — bounds the time
   /// the node spends processing before it re-checks its round deadline.
   std::size_t ingressDrainBudget = 256;
-  /// Datagrams pulled off the socket per loop iteration.
-  std::size_t maxDatagramsPerPoll = 512;
-  /// Partial (fragmented, incomplete) frames held per node.
-  std::size_t reassemblyCapacity = 64;
   /// Rounds a partial frame may sit idle before eviction.
   std::uint32_t reassemblyTtlRounds = 8;
   /// Consecutive rounds late by more than a full period before the
@@ -112,25 +67,6 @@ struct UdpClusterOptions {
   std::uint32_t watchdogMissedRounds = 3;
   /// Retry schedule for transient send refusals (EAGAIN/ENOBUFS).
   SendBackoffPolicy sendBackoff{};
-  /// Emit version-2 wire frames carrying per-event lineage (hop, origin
-  /// round, incarnation — codec/ball_codec.h). Default on; turn off to
-  /// emulate a mixed fleet where some decoders only speak version 1.
-  bool wireLineage = true;
-  /// Let wire frames carry per-event QoS classes (codec kFlagQos). The
-  /// flag byte is only emitted for balls containing a Fast event, so
-  /// Safe-only traffic is wire-identical either way.
-  bool wireQos = true;
-  /// Speculative delivery (core/speculation.h): Fast-class broadcasts
-  /// surface ahead of the committed frontier with confirm/revoke
-  /// notifications; committed delivery is unaffected.
-  bool speculation = false;
-  double speculationThreshold = 0.9;
-  std::size_t speculationWindow = 64;
-  /// Online TTL/K feedback control (adapt/controller.h) per node, off
-  /// the observed ball-arrival shortfall, within Lemma-safe bounds.
-  bool adaptive = false;
-  double adaptiveWorstCaseLoss = 0.15;
-  double adaptiveInitialLoss = 0.0;
   /// Route every decoded ball through an IngressGuard before it reaches
   /// the ingress queue (core/ingress_guard.h): lineage sanity (hop <=
   /// ttl, ttl within the protocol TTL), plausible originRound, sources
@@ -144,70 +80,19 @@ struct UdpClusterOptions {
   /// of backlog from each peer in one window, and the ingress queue
   /// already bounds total buffering.
   std::uint32_t ingressRateCap = 0;
-  /// When non-empty, the flight recorder (obs/flight_recorder.h) is
-  /// dumped to this JSONL file whenever the stall watchdog forces a
-  /// recovery or a fault-plan crash takes a node down (and on demand via
-  /// dumpFlightRecorder()).
-  std::string flightDumpPath;
 
   // --- execution model (DESIGN.md §16) ---------------------------------
-  ExecutorMode executor = ExecutorMode::Sharded;
-  /// Worker shards in Sharded mode; 0 = hardware_concurrency (clamped to
-  /// nodeCount). Ignored by ThreadPerNode.
+  /// Worker shards; 0 = hardware_concurrency (clamped to nodeCount).
   std::size_t shardCount = 0;
-  /// Best-effort core pinning for shard threads (shard i -> core i).
-  bool pinShards = false;
-  /// Datagrams drained per recvmmsg() call in Sharded mode (the per-node
-  /// maxDatagramsPerPoll budget still bounds a whole wakeup).
-  std::size_t recvBatch = 32;
-  /// Send-aggregator flush threshold: datagrams accumulated per node
-  /// round before a sendmmsg() flush (the round end always flushes).
-  std::size_t sendBatch = 64;
   /// Capacity of each shard's SPSC command mailbox (broadcast requests).
   std::size_t mailboxCapacity = 1024;
 };
 
-class UdpCluster {
+class UdpCluster final : public NodeHost {
  public:
-  explicit UdpCluster(UdpClusterOptions options);
-  ~UdpCluster();
+  explicit UdpCluster(const UdpClusterOptions& options);
+  ~UdpCluster() override;
 
-  UdpCluster(const UdpCluster&) = delete;
-  UdpCluster& operator=(const UdpCluster&) = delete;
-
-  void start();
-
-  /// Ask node `index` to broadcast before its next round (thread-safe).
-  /// Fast-class broadcasts are eligible for speculative delivery (no-op
-  /// unless options.speculation is on).
-  void broadcast(std::size_t index, PayloadPtr payload = {},
-                 QosClass qos = QosClass::Safe);
-
-  /// Block until every broadcast has been delivered by every node that
-  /// still owes it (crashed nodes owe nothing; restarted nodes only owe
-  /// events broadcast after they rejoined), or timeout.
-  bool awaitQuiescence(std::chrono::milliseconds timeout) EPTO_EXCLUDES(trackerMutex_);
-
-  /// Diagnosis of the most recent awaitQuiescence() timeout ("" after a
-  /// successful wait).
-  [[nodiscard]] std::string lastQuiescenceReport() const EPTO_EXCLUDES(trackerMutex_);
-
-  /// Signal and join all node threads. Idempotent.
-  void stop();
-
-  [[nodiscard]] metrics::TrackerReport report() const EPTO_EXCLUDES(trackerMutex_);
-  [[nodiscard]] std::size_t fanoutUsed() const noexcept { return fanout_; }
-  [[nodiscard]] std::uint32_t ttlUsed() const noexcept { return ttl_; }
-  [[nodiscard]] ExecutorMode executorMode() const noexcept { return options_.executor; }
-  /// Worker shards actually running (0 in ThreadPerNode mode).
-  [[nodiscard]] std::size_t shardCountUsed() const noexcept {
-    return executor_ != nullptr ? executor_->shardCount() : 0;
-  }
-  /// Broadcast commands refused by a full shard mailbox (each was
-  /// retried until accepted; this counts the backpressure events).
-  [[nodiscard]] std::uint64_t mailboxPostRejections() const noexcept {
-    return executor_ != nullptr ? executor_->postRejections() : 0;
-  }
   /// Datagrams that arrived but failed frame validation.
   [[nodiscard]] std::uint64_t framesRejected() const noexcept {
     return framesRejected_.load();
@@ -275,168 +160,83 @@ class UdpCluster {
   [[nodiscard]] std::uint64_t watchdogRecoveries() const noexcept {
     return watchdogRecoveries_.load();
   }
-  /// Null when the cluster has no fault plan.
-  [[nodiscard]] const fault::FaultController* faultController() const noexcept {
-    return faults_.get();
-  }
-  /// True while node `index` is inside a fault-injected crash window.
-  [[nodiscard]] bool nodeDown(std::size_t index) const;
-
-  [[nodiscard]] obs::Registry& metricsRegistry() noexcept { return registry_; }
-  /// Prometheus text exposition of every node's protocol counters.
-  [[nodiscard]] std::string prometheusSnapshot();
-  /// The cluster-wide latency decomposition sink (obs/latency.h); install
-  /// hooks before start().
-  [[nodiscard]] obs::LatencyRecorder& latencyRecorder() noexcept {
-    return latencyRecorder_;
-  }
-  /// Dump the process-global flight recorder to `path` (JSONL, append),
-  /// tagged with `reason`. Returns records written. Callable any time.
-  std::size_t dumpFlightRecorder(const std::string& path,
-                                 const std::string& reason = "manual");
 
  private:
   /// A datagram held back by a delay-spike window, due at `due`.
   struct HeldDatagram {
-    std::chrono::steady_clock::time_point due;
+    Clock::time_point due;
     std::uint16_t port = 0;
     bool isFragment = false;
     std::vector<std::byte> frame;
   };
 
-  struct PendingBroadcast {
-    PayloadPtr payload;
-    QosClass qos = QosClass::Safe;
-  };
-
-  struct NodeState {
-    NodeState(std::size_t receiveBufferBytes, const ReassemblyOptions& reassembly,
-              std::size_t ingressCapacity, std::uint32_t watchdogMissedRounds)
+  /// The host's node plus its socket and overload machinery, all
+  /// owning-shard only.
+  struct UdpNode final : Node {
+    UdpNode(std::size_t receiveBufferBytes, const ReassemblyOptions& reassembly,
+            std::size_t ingressCapacity, std::uint32_t watchdogMissedRounds)
         : socket(receiveBufferBytes),
           reassembler(reassembly),
           ingress(ingressCapacity),
           watchdog(watchdogMissedRounds) {}
 
-    ProcessId id = 0;
     UdpSocket socket;
-    std::unique_ptr<Process> process;  ///< node-thread only.
-    /// Feedback controller (node-thread only; null unless adaptive).
-    std::unique_ptr<adapt::FeedbackController> controller;
-    std::uint64_t lastBallsReceived = 0;  ///< node-thread only.
-    std::thread thread;
-    /// Leaf lock: never held together with trackerMutex_ (DESIGN.md §12).
-    util::Mutex broadcastMutex;
-    std::vector<PendingBroadcast> pendingBroadcasts EPTO_GUARDED_BY(broadcastMutex);
-    /// False while inside a crash window (node thread writes, others read).
-    std::atomic<bool> up{true};
-    std::uint32_t incarnation = 0;        // node-thread only
-    std::vector<HeldDatagram> heldBack;   // node-thread only
-    Reassembler reassembler;              // node-thread only
-    IngressQueue ingress;                 // node-thread only
+    std::vector<HeldDatagram> heldBack;
+    Reassembler reassembler;
+    IngressQueue ingress;
     /// Null unless UdpClusterOptions::hardenIngress.
-    std::unique_ptr<core::IngressGuard> guard;  // node-thread only
-    StallWatchdog watchdog;               // node-thread only
-    std::uint64_t roundCounter = 0;       // node-thread only
-    std::uint32_t fragmentSeq = 0;        // node-thread only; ballId low bits
-    /// Scheduling state, owned by whichever executor drives the node
-    /// (its dedicated thread, or its owning shard — never both).
-    util::Rng rng{0};
-    std::chrono::steady_clock::time_point nextRound{};
-    bool stallNoted = false;
+    std::unique_ptr<core::IngressGuard> guard;
+    StallWatchdog watchdog;
+    std::uint64_t roundCounter = 0;
+    std::uint32_t fragmentSeq = 0;  ///< ballId low bits
+    /// This round's datagrams awaiting a sendmmsg() flush (non-owning
+    /// frame pointers into the round's encoded ball).
+    std::vector<OutgoingDatagram> outgoing;
     /// Last reassembly/ingress/watchdog figures mirrored into the
-    /// cluster atomics (node-thread only; published once per round).
+    /// cluster atomics (published once per round).
     ReassemblyStats publishedReassembly;
     std::uint64_t publishedIngressShed = 0;
     std::uint64_t publishedWatchdogRecoveries = 0;
     core::IngressStats publishedGuard;
   };
 
-  /// Strategy for emitting one round's datagrams: the thread-per-node
-  /// mode sends immediately (with interleaved drains every 32 sends);
-  /// the sharded mode aggregates and flushes through sendmmsg.
-  struct DatagramSink {
-    virtual ~DatagramSink() = default;
-    virtual void send(NodeState& node, std::uint16_t port, bool isFragment,
-                      const std::vector<std::byte>& frame, util::Rng& rng) = 0;
-    /// End of the round's send burst (queued frames die after this).
-    virtual void flush(NodeState& node, util::Rng& rng) = 0;
-  };
-  class ImmediateSink;  // udp_cluster.cpp
-  class BatchSink;      // udp_cluster.cpp
+  static UdpNode& udp(Node& node) { return static_cast<UdpNode&>(node); }
 
-  void nodeLoop(NodeState& node);
-  /// One shard's whole life: init owned nodes, then poll/ingest/round
-  /// until stop (ShardedExecutor body).
-  void shardLoop(ShardedExecutor::ShardContext& ctx);
-  /// A node's wheel timer fired: fault gates, then the round, then
-  /// re-arm.
-  void serviceDueNode(std::size_t index, ShardedExecutor::ShardContext& ctx,
-                      DatagramSink& sink);
-  /// The round boundary body shared by both executor modes (broadcasts,
-  /// onRound, fanout send via `sink`, controller feedback, metrics,
-  /// watchdog). Returns true when the watchdog forced a recovery — the
-  /// caller must re-anchor the schedule to now instead of advancing it.
-  bool runNodeRound(NodeState& node, util::Rng& rng,
-                    std::chrono::steady_clock::duration lateness, DatagramSink& sink);
+  void ingest(Node& node) override;
+  void send(Node& node, const Process::RoundOutput& out, Timestamp now) override;
+  void awaitInput(ShardedExecutor::ShardContext& ctx, Clock::time_point deadline) override;
+  void discardInput(Node& node) override;
+  bool finishRound(Node& node, Clock::duration lateness) override;
+  void publishSubstrateMetrics() override;
+  void finishShard(ShardedExecutor::ShardContext& ctx) override;
+
   /// recvmmsg-drain one readable socket into the node's ingress queue,
-  /// bounded by maxDatagramsPerPoll; observes the recv batch histogram.
-  void batchIngest(NodeState& node, std::vector<UdpSocket::Datagram>& scratch);
-  [[nodiscard]] std::chrono::microseconds jitteredPeriod(util::Rng& rng) const;
-  [[nodiscard]] std::unique_ptr<Process> makeProcess(ProcessId id,
-                                                     std::uint32_t incarnation);
-  /// Fresh controller at the static tuning (null when adaptation is off).
-  [[nodiscard]] std::unique_ptr<adapt::FeedbackController> makeController(
-      ProcessId id) const;
-  void enterCrash(NodeState& node) EPTO_EXCLUDES(trackerMutex_);
-  void leaveCrash(NodeState& node) EPTO_EXCLUDES(trackerMutex_);
-  void sendDatagram(NodeState& node, std::uint16_t port, bool isFragment,
-                    const std::vector<std::byte>& frame, util::Rng& rng);
-  void flushHeldBack(NodeState& node, util::Rng& rng);
+  /// interleaving bounded protocol drains; observes the recv batch
+  /// histogram.
+  void batchIngest(UdpNode& node);
+  /// One sendmmsg() flush of the node's outgoing datagrams, then a
+  /// bounded ingest so a send burst never starves receiving.
+  void flush(UdpNode& node);
+  /// Send the node's held-back datagrams whose delay has run out.
+  void flushHeldBack(UdpNode& node);
   /// Route one received datagram: truncation check, fragment reassembly
   /// or direct decode, then ingress admission.
-  void ingestDatagram(NodeState& node, const UdpSocket::Datagram& datagram);
-  void enqueueBallFrame(NodeState& node, std::span<const std::byte> frame,
+  void ingestDatagram(UdpNode& node, const UdpSocket::Datagram& datagram);
+  void enqueueBallFrame(UdpNode& node, std::span<const std::byte> frame,
                         std::uint16_t fromPort);
+  /// Hand up to ingressDrainBudget queued balls to the protocol.
+  void drainIngress(UdpNode& node);
   /// Mirror the node's local overload counters into the cluster atomics.
-  void publishNodeCounters(NodeState& node);
-  /// Copy the cluster-wide transport atomics into the registry.
-  void publishTransportMetrics();
-  [[nodiscard]] std::vector<ProcessId> upNodes() const;
-  [[nodiscard]] Timestamp ticksNow() const;
+  void publishNodeCounters(UdpNode& node);
 
   UdpClusterOptions options_;
-  std::size_t fanout_ = 0;
-  std::uint32_t ttl_ = 0;
-  std::chrono::steady_clock::time_point epoch_;
-
-  util::Rng masterRng_;
-  std::unique_ptr<fault::FaultController> faults_;
-  std::vector<std::unique_ptr<NodeState>> nodes_;
   std::vector<std::uint16_t> ports_;  // ProcessId -> UDP port
-  /// Null in ThreadPerNode mode.
-  std::unique_ptr<ShardedExecutor> executor_;
 
-  obs::Registry registry_;
   /// Batched-I/O instruments, registered once at construction so hot
-  /// paths never touch the registry lock (null histograms are never
-  /// observed — ThreadPerNode mode has no batches).
+  /// paths never touch the registry lock.
   obs::Histogram* recvBatchSize_ = nullptr;
   obs::Histogram* sendBatchSize_ = nullptr;
-  /// Constructed after registry_ (it registers its histograms there).
-  obs::LatencyRecorder latencyRecorder_{registry_};
-  std::unique_ptr<obs::ScrapeLoop> scrape_;
 
-  /// Correctness-accounting capability (tracker + ledger + lifetimes +
-  /// quiescence diagnosis). Leaf lock — nothing else is ever acquired
-  /// while it is held.
-  mutable util::Mutex trackerMutex_;
-  metrics::DeliveryTracker tracker_ EPTO_GUARDED_BY(trackerMutex_);
-  metrics::QuiescenceLedger ledger_ EPTO_GUARDED_BY(trackerMutex_);
-  std::unordered_map<ProcessId, metrics::ProcessLifetime> lifetimes_
-      EPTO_GUARDED_BY(trackerMutex_);
-  std::string quiescenceReport_ EPTO_GUARDED_BY(trackerMutex_);
-  std::atomic<std::uint64_t> requestedBroadcasts_{0};
-  std::atomic<std::uint64_t> discardedBroadcasts_{0};
   std::atomic<std::uint64_t> framesRejected_{0};
   std::atomic<std::uint64_t> truncatedDatagrams_{0};
   std::atomic<std::uint64_t> sendFailuresTransient_{0};
@@ -459,9 +259,6 @@ class UdpCluster {
   std::atomic<std::uint64_t> guardFilteredEquivocation_{0};
   std::atomic<std::uint64_t> guardFilteredIncarnation_{0};
   std::atomic<std::uint64_t> guardFingerprintRotations_{0};
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopRequested_{false};
 };
 
 }  // namespace epto::runtime

@@ -1,15 +1,17 @@
-// End-to-end tests of the threaded runtime (§8.5): real threads, steady
-// clocks, loss/delay-injecting transport — the asynchrony the discrete
-// simulator serializes away.
+// End-to-end tests of the in-memory runtime (§8.5): real shard threads,
+// steady clocks, loss/delay-injecting transport — the asynchrony the
+// discrete simulator serializes away.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime_cluster.h"
+#include "util/ensure.h"
 
 namespace epto::runtime {
 namespace {
@@ -38,6 +40,41 @@ TEST(RuntimeCluster, DeliversEverythingEverywhereInOrder) {
   EXPECT_EQ(report.integrityViolations, 0u);
   EXPECT_EQ(report.validityViolations, 0u);
   EXPECT_EQ(report.holes, 0u);
+}
+
+// The executor differential: the same seed and broadcasts, once as a
+// one-shard schedule played on the calling thread (each node stepped in
+// turn, ingest before its round) and once on the executor's default
+// shard pool. Both must deliver everything everywhere with every Table 1
+// property intact.
+TEST(RuntimeCluster, OneShardScheduleAndShardedRunAgree) {
+  RuntimeCluster stepped(fastOptions(8));
+  for (std::size_t i = 0; i < 8; ++i) stepped.broadcast(i);
+  for (Timestamp round = 1; round <= 200 && !stepped.awaitQuiescence(0ms); ++round) {
+    for (std::size_t node = 0; node < 8; ++node) stepped.stepNode(node, round * 2'000);
+  }
+  ASSERT_TRUE(stepped.awaitQuiescence(0ms)) << stepped.lastQuiescenceReport();
+
+  RuntimeCluster sharded(fastOptions(8));
+  sharded.start();
+  for (std::size_t i = 0; i < 8; ++i) sharded.broadcast(i);
+  ASSERT_TRUE(sharded.awaitQuiescence(15s)) << sharded.lastQuiescenceReport();
+  sharded.stop();
+  EXPECT_GE(sharded.shardCountUsed(), 1u);
+
+  for (const RuntimeCluster* cluster : {&stepped, &sharded}) {
+    const auto report = cluster->report();
+    EXPECT_EQ(report.broadcasts, 8u);
+    EXPECT_EQ(report.deliveries, 8u * 8u);
+    EXPECT_TRUE(report.allPropertiesHold());
+  }
+}
+
+TEST(RuntimeCluster, StepNodeIsRefusedWhileShardsRun) {
+  RuntimeCluster cluster(fastOptions(4));
+  cluster.start();
+  EXPECT_THROW(cluster.stepNode(0, 1'000), util::ContractViolation);
+  cluster.stop();
 }
 
 TEST(RuntimeCluster, SurvivesMessageLossAndDelay) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -213,11 +214,83 @@ TEST(RuntimeFault, TransportValidatesItsOptions) {
   EXPECT_NO_THROW(make(good));
 }
 
-TEST(RuntimeFault, TransportNeedsAClockWithItsController) {
+TEST(RuntimeFault, TransportJudgesLinkFatesAtTheCallersTimestamp) {
+  fault::FaultPlan plan;
+  plan.crash(100, 1);
+  fault::FaultController controller{plan};
   InMemoryTransport transport{InMemoryTransport::Options{}, util::Rng{1}};
-  fault::FaultController controller{fault::FaultPlan{}};
-  EXPECT_THROW(transport.attachFaults(&controller, nullptr), util::ContractViolation);
-  EXPECT_NO_THROW(transport.attachFaults(nullptr, nullptr));  // detach is fine
+  transport.attachFaults(&controller);
+  transport.registerEndpoint(1);
+  transport.registerEndpoint(2);
+  const auto ball = std::make_shared<const Ball>();
+  transport.send(1, 2, ball, /*now=*/99);   // one tick before the crash
+  transport.send(1, 2, ball, /*now=*/100);  // at the crash instant
+  EXPECT_EQ(transport.stats().sent, 2u);
+  EXPECT_EQ(transport.stats().faultDrops, 1u);
+  EXPECT_EQ(transport.mailboxOf(2).drainReady(Clock::time_point::max()).size(), 1u);
+  EXPECT_NO_THROW(transport.attachFaults(nullptr));  // detach is fine
+}
+
+// The crash/round race, played deterministically: a broadcast request
+// parked at node 2 meets a round whose timestamp is exactly node 2's
+// crash instant. The gate and the round read that one timestamp, so the
+// node crashes instead of running the round: the request's event dies
+// with it unsent, and nothing is charged to the ledger that no survivor
+// could ever receive. (If the gate read an earlier clock than the sends,
+// the round would charge the event to every live node, every copy would
+// be cut as "from a crashed source", and the survivors would owe an
+// event nobody holds.)
+TEST(RuntimeFault, RoundAtTheCrashInstantChargesNothing) {
+  // Far past anything the real clock reaches during the test, so only
+  // the explicit timestamp can trip the gate.
+  constexpr Timestamp kCrashAt = 3'600'000'000ULL;
+  fault::FaultPlan plan;
+  plan.crash(kCrashAt, 2);
+  auto options = fastOptions(8);
+  options.faultPlan = &plan;
+  RuntimeCluster cluster(options);
+  cluster.broadcast(2);  // parked for node 2's next round
+  cluster.stepNode(2, kCrashAt);
+
+  EXPECT_TRUE(cluster.nodeDown(2));
+  EXPECT_EQ(cluster.faultController()->stats().crashes, 1u);
+  EXPECT_EQ(cluster.broadcastCount(), 1u);      // the request still happened
+  EXPECT_EQ(cluster.transportStats().sent, 0u);  // but no round ever ran
+  EXPECT_TRUE(cluster.awaitQuiescence(0ms)) << cluster.lastQuiescenceReport();
+  EXPECT_TRUE(cluster.report().allPropertiesHold());
+}
+
+// The other side of the same instant: a round one tick before the crash
+// ships every copy (the link fates are judged at the round's timestamp,
+// not at a later clock reading), so once the survivors run their rounds
+// — stepped on one thread — everyone still up delivers the event.
+TEST(RuntimeFault, RoundJustBeforeTheCrashShipsEveryCopy) {
+  // The real clock is past this instant by the time any step runs, so
+  // only the explicit timestamp keeps the source alive for its sends.
+  constexpr Timestamp kCrashAt = 1;
+  fault::FaultPlan plan;
+  plan.crash(kCrashAt, 2);
+  auto options = fastOptions(8);
+  options.faultPlan = &plan;
+  RuntimeCluster cluster(options);
+  cluster.broadcast(2);
+  cluster.stepNode(2, kCrashAt - 1);
+  EXPECT_EQ(cluster.broadcastCount(), 1u);
+  EXPECT_EQ(cluster.transportStats().faultDrops, 0u);
+  EXPECT_GT(cluster.transportStats().sent, 0u);
+  cluster.stepNode(2, kCrashAt);
+  ASSERT_TRUE(cluster.nodeDown(2));
+
+  constexpr Timestamp kPeriod = 2'000;
+  for (Timestamp round = 1; round <= 200 && !cluster.awaitQuiescence(0ms); ++round) {
+    for (std::size_t node = 0; node < 8; ++node) {
+      if (node != 2) cluster.stepNode(node, kCrashAt + round * kPeriod);
+    }
+  }
+  ASSERT_TRUE(cluster.awaitQuiescence(0ms)) << cluster.lastQuiescenceReport();
+  const auto report = cluster.report();
+  EXPECT_EQ(report.deliveries, 7u);
+  EXPECT_TRUE(report.allPropertiesHold());
 }
 
 TEST(RuntimeFault, FaultCountersReachTheMetricsRegistry) {

@@ -47,31 +47,11 @@ TEST(Mailbox, DrainReturnsInDeliveryOrder) {
   EXPECT_EQ(ready[2].from, 3u);
 }
 
-TEST(Mailbox, WaitReturnsAtDeadlineWithoutMessages) {
-  Mailbox mailbox;
-  const auto start = Clock::now();
-  mailbox.waitReadyOrDeadline(start + 20ms);
-  EXPECT_GE(Clock::now(), start + 19ms);
-}
-
-TEST(Mailbox, WaitWakesEarlyOnReadyMessage) {
-  Mailbox mailbox;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(10ms);
-    mailbox.push(Envelope{.from = 1, .ball = makeBall(0), .frame = nullptr, .deliverAt = Clock::now()});
-  });
-  const auto start = Clock::now();
-  mailbox.waitReadyOrDeadline(start + 5s);
-  EXPECT_LT(Clock::now(), start + 2s);
-  producer.join();
-  EXPECT_EQ(mailbox.drainReady(Clock::now()).size(), 1u);
-}
-
 TEST(Transport, RegisteredEndpointsReceive) {
   InMemoryTransport transport({}, util::Rng(1));
   transport.registerEndpoint(1);
   transport.registerEndpoint(2);
-  transport.send(1, 2, makeBall(7));
+  transport.send(1, 2, makeBall(7), /*now=*/0);
   const auto ready = transport.mailboxOf(2).drainReady(Clock::now());
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ((*ready[0].ball)[0].id.sequence, 7u);
@@ -89,7 +69,7 @@ TEST(Transport, LossRateDropsApproximately) {
   InMemoryTransport transport({.lossRate = 0.5}, util::Rng(3));
   transport.registerEndpoint(1);
   transport.registerEndpoint(2);
-  for (int i = 0; i < 2000; ++i) transport.send(1, 2, makeBall(0));
+  for (int i = 0; i < 2000; ++i) transport.send(1, 2, makeBall(0), /*now=*/0);
   const auto stats = transport.stats();
   EXPECT_EQ(stats.sent, 2000u);
   EXPECT_NEAR(static_cast<double>(stats.dropped), 1000.0, 100.0);
@@ -99,7 +79,7 @@ TEST(Transport, DelayWindowRespected) {
   InMemoryTransport transport({.minDelay = 5ms, .maxDelay = 10ms}, util::Rng(5));
   transport.registerEndpoint(1);
   transport.registerEndpoint(2);
-  transport.send(1, 2, makeBall(0));
+  transport.send(1, 2, makeBall(0), /*now=*/0);
   // Not ready immediately.
   EXPECT_TRUE(transport.mailboxOf(2).drainReady(Clock::now()).empty());
   std::this_thread::sleep_for(15ms);
@@ -120,7 +100,7 @@ TEST(Transport, ConcurrentSendersDoNotRace) {
   std::vector<std::thread> senders;
   for (ProcessId id = 1; id <= 4; ++id) {
     senders.emplace_back([&transport, id] {
-      for (int i = 0; i < 500; ++i) transport.send(id, 0, makeBall(0));
+      for (int i = 0; i < 500; ++i) transport.send(id, 0, makeBall(0), /*now=*/0);
     });
   }
   for (auto& t : senders) t.join();

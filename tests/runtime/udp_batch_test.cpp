@@ -1,7 +1,7 @@
 // Tests of the batched UDP I/O paths (recvmmsg/sendmmsg) and the
-// sharded executor mode of UdpCluster (DESIGN.md §16): batch receive
+// sharded executor under UdpCluster (DESIGN.md §16): batch receive
 // semantics, per-message backoff classification in batch sends, and a
-// thread-per-node vs sharded differential over the full protocol.
+// one-shard vs two-shard differential over the full protocol.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -175,30 +175,25 @@ TEST(UdpBatchSend, EmptyBatchIsANoOp) {
   EXPECT_EQ(outcome.syscalls, 0u);
 }
 
-// The tentpole acceptance test at protocol level: the sharded executor
-// must be a drop-in replacement — same broadcasts, same total order,
-// same verdicts as thread-per-node, over real sockets.
-TEST(UdpShardedCluster, DeliversTotalOrderLikeThreadPerNode) {
-  for (const ExecutorMode mode : {ExecutorMode::ThreadPerNode, ExecutorMode::Sharded}) {
+// The executor differential at protocol level: one shard driving every
+// node and two shards splitting them must deliver the same broadcasts in
+// total order with the same verdicts, over real sockets, under one seed.
+TEST(UdpShardedCluster, OneShardAndTwoShardsDeliverTheSameTotalOrder) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     UdpClusterOptions options;
     options.nodeCount = 5;
     options.roundPeriod = 3ms;
     options.seed = 99;
-    options.executor = mode;
-    options.shardCount = 2;
+    options.shardCount = shards;
     UdpCluster cluster(options);
     cluster.start();
     for (std::size_t i = 0; i < 5; ++i) cluster.broadcast(i);
     ASSERT_TRUE(cluster.awaitQuiescence(30s)) << cluster.lastQuiescenceReport();
     cluster.stop();
     const auto report = cluster.report();
-    EXPECT_EQ(report.deliveries, 25u);
-    EXPECT_TRUE(report.allPropertiesHold());
-    if (mode == ExecutorMode::Sharded) {
-      EXPECT_EQ(cluster.shardCountUsed(), 2u);
-    } else {
-      EXPECT_EQ(cluster.shardCountUsed(), 0u);
-    }
+    EXPECT_EQ(report.deliveries, 25u) << shards << " shard(s)";
+    EXPECT_TRUE(report.allPropertiesHold()) << shards << " shard(s)";
+    EXPECT_EQ(cluster.shardCountUsed(), shards);
   }
 }
 
@@ -207,7 +202,6 @@ TEST(UdpShardedCluster, ManyNodesPerShardStillQuiesce) {
   options.nodeCount = 12;
   options.roundPeriod = 4ms;
   options.seed = 101;
-  options.executor = ExecutorMode::Sharded;
   options.shardCount = 2;  // 6 nodes per shard
   UdpCluster cluster(options);
   cluster.start();
@@ -224,7 +218,6 @@ TEST(UdpShardedCluster, BatchHistogramsAreObserved) {
   options.nodeCount = 4;
   options.roundPeriod = 3ms;
   options.seed = 55;
-  options.executor = ExecutorMode::Sharded;
   options.shardCount = 1;
   UdpCluster cluster(options);
   cluster.start();
@@ -246,7 +239,6 @@ TEST(UdpShardedCluster, BroadcastSurvivesAFullMailbox) {
   options.nodeCount = 2;
   options.roundPeriod = 3ms;
   options.seed = 77;
-  options.executor = ExecutorMode::Sharded;
   options.mailboxCapacity = 1;  // every burst overflows
   UdpCluster cluster(options);
   cluster.start();

@@ -212,6 +212,7 @@ class AllowlistTest(unittest.TestCase):
         self.assertIn(("eventid-order", "src/core/dissemination.cpp"), entries)
         self.assertIn(("decoded-ball-trust", "src/runtime/udp_cluster.cpp"), entries)
         self.assertIn(("speculative-frontier-write", "src/core/ordering.cpp"), entries)
+        self.assertIn(("shard-affinity-write", "src/runtime/node_host.cpp"), entries)
         self.assertIn(("shard-affinity-write", "src/runtime/udp_cluster.cpp"), entries)
         self.assertIn(("shard-affinity-write", "src/runtime/runtime_cluster.cpp"), entries)
 

@@ -53,17 +53,18 @@ speculative-frontier-write
                  new way for an optimistic path to corrupt the committed
                  order.
 shard-affinity-write
-                 No mutation of per-node runtime state through a
-                 NodeState handle — node.process dispatch/lifecycle
+                 No mutation of per-node runtime state through a node
+                 handle — node.process dispatch/lifecycle
                  (onBall/onRound/broadcast/retune, reset, reassignment)
                  and node.ingress / node.reassembler mutators — outside
-                 the executor loops that own the node (allowlisted:
-                 udp_cluster.cpp's shard/node loops, runtime_cluster.cpp's
-                 node threads). Under the sharded executor (DESIGN.md
-                 §16) these structures are single-writer by shard
-                 affinity and intentionally unlocked; cross-shard work
-                 must be posted as a Command to the owning shard's
-                 mailbox. Reads via named accessors (stats(),
+                 the code the owning shard runs (allowlisted:
+                 node_host.cpp's shard loop, round body and crash/restart
+                 lifecycle, and the substrate ingest steps it calls —
+                 udp_cluster.cpp and runtime_cluster.cpp). Under the
+                 sharded executor (DESIGN.md §16) these structures are
+                 single-writer by shard affinity and intentionally
+                 unlocked; cross-shard work must be posted as a Command
+                 to the owning shard's mailbox. Reads via named accessors (stats(),
                  highWater(), disseminationStats(), ...) are free. A new
                  direct write site is a data race TSan can only catch if
                  the interleaving happens to fire.
